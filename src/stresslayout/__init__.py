@@ -40,7 +40,7 @@ from .initializers import (
     pivot_mds,
     random_init,
 )
-from .sgd import Schedule, SgdConfig, default_schedule, pair_update, run_sgd, sgd_iteration
+from .sgd import Schedule, SgdConfig, default_schedule, pair_update, run_sgd
 from .smacof import SmacofConfig, run_smacof, smacof_iteration, vertex_update
 from .stress import as_layout, center, procrustes_error, stress, stress_gradient
 from .svg import render_svg

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .stress import stress
 # 1e-6 the relative bound alone decides.
 MONOTONE_RTOL = 1e-9
 MONOTONE_NOISE_FLOOR = 1e-15
+
+ALGORITHMS = ("sgd", "smacof")
+INITIALIZERS = ("random", "cmds", "pivot")
 
 TRACE_HEADER = ("graph", "algorithm", "initializer", "seed", "iteration", "stress")
 REPORT_HEADER = ("graph", "algorithm", "initializer", "mean_final_stress", "deviation")
@@ -82,12 +85,17 @@ class ExperimentConfig:
     base_seed: int = 0
     sgd_iterations: int = 15
     sgd_eps: float = 0.01
-    smacof: SmacofConfig = field(default_factory=SmacofConfig)
     pivots: int = 100
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        for name in self.algorithms:
+            if name not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+        for name in self.initializers:
+            if name not in INITIALIZERS:
+                raise ValueError(f"unknown initializer {name!r}; expected one of {INITIALIZERS}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,8 @@ def run_grid(config: ExperimentConfig) -> list[StressTrace]:
                     x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed, config)
                     if algorithm == "sgd":
                         _, values = run_sgd(dist, x0, SgdConfig(schedule, seed=seed))
-                    elif algorithm == "smacof":
-                        _, values = run_smacof(dist, x0, config.smacof)
                     else:
-                        raise ValueError(f"unknown algorithm {algorithm!r}")
+                        _, values = run_smacof(dist, x0, SmacofConfig())
                     traces.append(
                         StressTrace(
                             run_id=f"{name}/{algorithm}/{initializer}/r{r}",
@@ -145,10 +151,8 @@ def _initial_layout(initializer, graph, dist, cmds_layout, seed, config):
         return random_init(dist.n, seed)
     if initializer == "cmds":
         return cmds_layout
-    if initializer == "pivot":
-        k = min(config.pivots, graph.n)
-        return pivot_mds(graph, PivotConfig(k=k, seed=seed))
-    raise ValueError(f"unknown initializer {initializer!r}")
+    k = min(config.pivots, graph.n)
+    return pivot_mds(graph, PivotConfig(k=k, seed=seed))
 
 
 def hybrid_layout(
@@ -171,7 +175,7 @@ def hybrid_layout(
         raise ValueError("k must be nonnegative")
     x0 = random_init(dist.n, seed)
     if k > 0:
-        cfg = SgdConfig(sgd_config.schedule, seed=seed, jitter_epsilon=sgd_config.jitter_epsilon)
+        cfg = SgdConfig(sgd_config.schedule, seed=seed)
         x1, sgd_values = run_sgd(dist, x0, cfg, iterations=k, callback=callback)
     else:
         x1, sgd_values = x0, [stress(x0, dist)]
@@ -273,7 +277,7 @@ def _write_rows(handle, header, rows) -> None:
 
 
 def parse_traces_csv(source) -> list[StressTrace]:
-    """Inverse of export_csv for trace files (used by tests and scripts)."""
+    """Inverse of export_csv for trace files (used by tests and the benchmark checks)."""
     if hasattr(source, "read"):
         text = source.read()
     else:

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    INITIALIZERS,
     ExperimentConfig,
     StressTrace,
     export_csv,
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(layout)
     layout.add_argument("--alg", choices=("sgd", "smacof", "hybrid"), default="sgd",
                         help="optimizer (default: sgd)")
-    layout.add_argument("--init", choices=("random", "cmds", "pivot"), default="random",
+    layout.add_argument("--init", choices=INITIALIZERS, default="random",
                         help="initial layout (default: random)")
     layout.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")
     layout.add_argument("--iters", type=int, default=None,
@@ -159,10 +160,8 @@ def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
 
 
 def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Graph]:
-    """Load and, if necessary, reduce to the largest connected component."""
+    """Load, reduce to the largest connected component, and require n >= 2."""
     name, graph = load_graph(spec, fmt)
-    if graph.n == 0:
-        raise ValueError(f"{spec}: graph has no vertices")
     components = connected_components(graph)
     if len(components) > 1:
         if strict:
@@ -176,6 +175,8 @@ def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Grap
             file=sys.stderr,
         )
         graph = reduced
+    if graph.n < 2:
+        raise ValueError(f"{spec}: need at least two connected vertices, got {graph.n}")
     return name, graph
 
 
@@ -202,7 +203,10 @@ def cmd_layout(args) -> int:
             render_svg(coords, graph, target)
 
     callback = snapshot if snapshots else None
-    schedule = default_schedule(dist, args.iters or 15, args.eps)
+    if args.alg == "smacof":
+        smacof_config = SmacofConfig(max_iterations=500 if args.iters is None else args.iters)
+    else:
+        schedule = default_schedule(dist, 15 if args.iters is None else args.iters, args.eps)
     if args.alg == "sgd":
         layout, values = run_sgd(
             dist,
@@ -215,7 +219,7 @@ def cmd_layout(args) -> int:
         layout, values = run_smacof(
             dist,
             _initial(args.init, graph, dist, args.seed, args.pivots),
-            SmacofConfig(max_iterations=args.iters or 500),
+            smacof_config,
             callback=callback,
         )
         initializer = args.init
@@ -254,15 +258,9 @@ def cmd_bench(args) -> int:
         sgd_iterations=args.iters,
         sgd_eps=args.eps,
     )
-    traces = run_grid(config)
-    report = relative_deviation(traces)
-    if args.trace:
-        export_csv(traces, args.trace)
-    if args.out:
-        export_csv(report, args.out)
-    else:
-        export_csv(report, sys.stdout)
-    return 0
+    if "smacof" not in config.algorithms or "cmds" not in config.initializers:
+        raise ValueError("the report needs the smacof x cmds reference cell in --algs/--inits")
+    return _write_report(run_grid(config), args)
 
 
 def cmd_hybrid(args) -> int:
@@ -288,13 +286,15 @@ def cmd_hybrid(args) -> int:
                 run_hybrid(dist, k, SgdConfig(schedule, seed=seed), SmacofConfig(),
                            seed, graph=name)
             )
+    return _write_report(traces, args)
+
+
+def _write_report(traces, args) -> int:
+    """Deviation report to --out (default stdout), full traces to --trace."""
     report = relative_deviation(traces)
     if args.trace:
         export_csv(traces, args.trace)
-    if args.out:
-        export_csv(report, args.out)
-    else:
-        export_csv(report, sys.stdout)
+    export_csv(report, args.out or sys.stdout)
     return 0
 
 

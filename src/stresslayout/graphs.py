@@ -68,8 +68,9 @@ class Graph:
 class DistanceMatrix:
     """Symmetric matrix of pairwise target distances, zero on the diagonal.
 
-    Also exposes the stress weights w(i,j) = d(i,j)**-2 used throughout.
-    The underlying array is read-only; instances are immutable.
+    Also exposes the stress weights w(i,j) = d(i,j)**-2 used throughout
+    and the table of unordered pairs.  The underlying arrays are
+    read-only; instances are immutable.
     """
 
     def __init__(self, matrix):
@@ -115,6 +116,15 @@ class DistanceMatrix:
         w[off] = self._d[off] ** -2.0
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair table (i, j, d_ij) over all i < j in lexicographic order (read-only)."""
+        i, j = np.triu_indices(self.n, 1)
+        table = (i, j, self._d[i, j])
+        for column in table:
+            column.setflags(write=False)
+        return table
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"

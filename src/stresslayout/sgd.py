@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix
-from .stress import as_layout, stress
+from .stress import JITTER_EPSILON, as_layout, stress
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,8 +69,7 @@ def default_schedule(dist: DistanceMatrix, t_max: int = 15, eps: float = 0.01) -
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if dist.n < 2:
         return Schedule(t_max, 1.0, 1.0)
-    i, j = np.triu_indices(dist.n, 1)
-    targets = dist.matrix[i, j]
+    targets = dist.pairs[2]
     return Schedule(t_max, float(targets.max()) ** 2, eps * float(targets.min()) ** 2)
 
 
@@ -80,11 +79,6 @@ class SgdConfig:
 
     schedule: Schedule
     seed: int = 0
-    jitter_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.jitter_epsilon <= 0.0:
-            raise ValueError("jitter_epsilon must be positive")
 
 
 def pair_update(p, q, d: float, mu: float):
@@ -105,17 +99,18 @@ def pair_update(p, q, d: float, mu: float):
 
 
 def _pair_table(dist: DistanceMatrix):
-    """Flattened i<j pair arrays in plain-Python form for the hot loop."""
-    i, j = np.triu_indices(dist.n, 1)
-    targets = dist.matrix[i, j]
+    """The i<j pair table in plain-Python form for the hot loop."""
+    i, j, targets = dist.pairs
     return i.tolist(), j.tolist(), targets.tolist(), targets**-2.0
 
 
-def _sweep(xs, ys, is_, js_, targets, mus, order, rng, jitter_epsilon):
+def _sweep(xs, ys, is_, js_, targets, mus, order, rng):
     """One pass of dyadic updates, in the given pair order, in place.
 
-    Coincident pairs are first nudged apart by jitter_epsilon in a random
-    direction (both endpoints, opposite ways, so the midpoint is kept).
+    Updates are sequential: each pair sees the already-moved positions of
+    earlier pairs.  Coincident pairs are first nudged apart by
+    JITTER_EPSILON in a random direction (both endpoints, opposite ways,
+    so the midpoint is kept).
     """
     for p in order:
         i = is_[p]
@@ -125,8 +120,8 @@ def _sweep(xs, ys, is_, js_, targets, mus, order, rng, jitter_epsilon):
         length = math.sqrt(dx * dx + dy * dy)
         if length <= 0.0:
             angle = rng.uniform(0.0, TWO_PI)
-            ux = jitter_epsilon * math.cos(angle)
-            uy = jitter_epsilon * math.sin(angle)
+            ux = JITTER_EPSILON * math.cos(angle)
+            uy = JITTER_EPSILON * math.sin(angle)
             xs[i] += ux
             ys[i] += uy
             xs[j] -= ux
@@ -143,30 +138,6 @@ def _sweep(xs, ys, is_, js_, targets, mus, order, rng, jitter_epsilon):
         ys[j] += my
 
 
-def sgd_iteration(
-    coords,
-    dist: DistanceMatrix,
-    schedule: Schedule,
-    t: int,
-    rng: np.random.Generator,
-    jitter_epsilon: float = 1e-6,
-) -> np.ndarray:
-    """One full sweep over all n(n-1)/2 pairs in a fresh random order.
-
-    Updates are sequential: each pair sees the already-moved positions of
-    earlier pairs.  The rng drives the pair permutation and any jitter, in
-    that order, so a fixed generator state reproduces the sweep exactly.
-    """
-    x = as_layout(coords, dist.n).copy()
-    is_, js_, targets, weights = _pair_table(dist)
-    mus = np.minimum(1.0, schedule.eta(t) * weights).tolist()
-    order = rng.permutation(len(is_)).tolist()
-    xs = x[:, 0].tolist()
-    ys = x[:, 1].tolist()
-    _sweep(xs, ys, is_, js_, targets, mus, order, rng, jitter_epsilon)
-    return np.column_stack((xs, ys))
-
-
 def run_sgd(
     dist: DistanceMatrix,
     init,
@@ -180,8 +151,9 @@ def run_sgd(
     trace[t] the stress after iteration t, one entry per iteration run.
     ``iterations`` truncates the run to the first steps of the schedule
     (the random stream is consumed identically, so a truncated run is a
-    prefix of the full one).  ``callback(t, layout)`` fires after each
-    iteration with 1-based t.
+    prefix of the full one).  Each iteration draws its pair permutation
+    and then any jitter from one generator seeded by config.seed.
+    ``callback(t, layout)`` fires after each iteration with 1-based t.
     """
     x = as_layout(init, dist.n)
     schedule = config.schedule
@@ -196,7 +168,7 @@ def run_sgd(
     for t in range(steps):
         mus = np.minimum(1.0, schedule.eta(t) * weights).tolist()
         order = rng.permutation(len(is_)).tolist()
-        _sweep(xs, ys, is_, js_, targets, mus, order, rng, config.jitter_epsilon)
+        _sweep(xs, ys, is_, js_, targets, mus, order, rng)
         current = np.column_stack((xs, ys))
         trace.append(stress(current, dist))
         if callback is not None:

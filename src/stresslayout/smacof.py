@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix
-from .stress import as_layout, stress
+from .stress import JITTER_EPSILON, as_layout, stress
 
 # Auxiliary generator seed for the (rare) coincident-point jitter; fixed so
 # runs stay deterministic.
@@ -27,15 +27,12 @@ _JITTER_SEED = 0x5AC0F
 class SmacofConfig:
     max_iterations: int = 500
     rel_tolerance: float = 1e-6
-    jitter_epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.rel_tolerance <= 0.0:
             raise ValueError("rel_tolerance must be positive")
-        if self.jitter_epsilon <= 0.0:
-            raise ValueError("jitter_epsilon must be positive")
 
 
 def _reposition(x, target_row, weight_row, diff, lengths) -> np.ndarray:
@@ -65,13 +62,12 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
 def smacof_iteration(
     coords,
     dist: DistanceMatrix,
-    jitter_epsilon: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One majorization sweep: update vertices 0..n-1 sequentially.
 
     Stress never increases over a sweep.  Coincident pairs are nudged
-    apart by jitter_epsilon (both points, opposite random directions)
+    apart by JITTER_EPSILON (both points, opposite random directions)
     before the affected update; the jitter generator is fixed-seeded when
     not supplied.
     """
@@ -90,7 +86,7 @@ def smacof_iteration(
         if coincident.size:
             for j in coincident:
                 angle = rng.uniform(0.0, 2.0 * math.pi)
-                nudge = jitter_epsilon * np.array([math.cos(angle), math.sin(angle)])
+                nudge = JITTER_EPSILON * np.array([math.cos(angle), math.sin(angle)])
                 x[i] += nudge
                 x[j] -= nudge
             diff = x[i] - x
@@ -118,7 +114,7 @@ def run_smacof(
     previous = stress(x, dist)
     trace = [previous]
     for sweep in range(config.max_iterations):
-        x = smacof_iteration(x, dist, config.jitter_epsilon, rng)
+        x = smacof_iteration(x, dist, rng)
         current = stress(x, dist)
         trace.append(current)
         if callback is not None:

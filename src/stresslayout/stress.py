@@ -15,6 +15,10 @@ import numpy as np
 
 from .graphs import DistanceMatrix
 
+# Both optimizers nudge coincident points this far apart before an update
+# whose direction would otherwise be undefined.
+JITTER_EPSILON = 1e-6
+
 
 def as_layout(coords, n: int | None = None) -> np.ndarray:
     """Validate coordinates and return them as an (n, 2) float64 array."""
@@ -35,10 +39,9 @@ def stress(coords, dist: DistanceMatrix) -> float:
     compensated summation, so the value is reproducible bit-for-bit.
     """
     x = as_layout(coords, dist.n)
-    i, j = np.triu_indices(dist.n, 1)
+    i, j, target = dist.pairs
     delta = x[i] - x[j]
     lengths = np.hypot(delta[:, 0], delta[:, 1])
-    target = dist.matrix[i, j]
     terms = ((lengths - target) / target) ** 2
     return math.fsum(terms.tolist())
 

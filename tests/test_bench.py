@@ -107,11 +107,14 @@ class TestRunGrid:
         assert traces[0].initializer == "pivot"
 
     def test_unknown_algorithm(self):
-        cfg = ExperimentConfig(
-            graphs=(("p5", path_graph(5)),), algorithms=("newton",), repetitions=1
-        )
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_grid(cfg)
+            ExperimentConfig(
+                graphs=(("p5", path_graph(5)),), algorithms=("newton",), repetitions=1
+            )
+
+    def test_unknown_initializer(self):
+        with pytest.raises(ValueError, match="unknown initializer"):
+            ExperimentConfig(graphs=(("p5", path_graph(5)),), initializers=("spectral",))
 
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):

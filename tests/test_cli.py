@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from stresslayout import cli
 from stresslayout.cli import build_parser, main
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -76,6 +77,12 @@ class TestLayoutCommand:
                      "--pivots", "6", "--out", "p.svg", "--trace", "p.csv"])
         assert code == 0
 
+    @pytest.mark.parametrize("alg", ["sgd", "smacof"])
+    def test_zero_iterations_rejected(self, workdir, capsys, alg):
+        assert main(["layout", "path:5", "--alg", alg, "--iters", "0"]) == 1
+        assert "error" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_deterministic_outputs(self, workdir):
         for prefix in ("a", "b"):
             code = main(["layout", "grid:4,4", "--seed", "3",
@@ -118,6 +125,18 @@ class TestBenchCommand:
             rows = list(csv.DictReader(handle))
         assert {r["graph"] for r in rows} == {"path_6", "cycle_6"}
 
+    @pytest.mark.parametrize(
+        "extra", [["--inits", "random"], ["--algs", "sgd"], ["--algs", "sgd,foo"],
+                  ["--inits", "cmds,spectral"]]
+    )
+    def test_bad_cells_fail_before_running(self, workdir, capsys, monkeypatch, extra):
+        def fail(config):
+            raise AssertionError("run_grid must not be called")
+
+        monkeypatch.setattr(cli, "run_grid", fail)
+        assert main(["bench", "grid:3,3", "--reps", "1", *extra]) == 1
+        assert "error" in capsys.readouterr().err
+
 
 class TestHybridCommand:
     def test_report_rows(self, workdir):
@@ -138,6 +157,27 @@ class TestHybridCommand:
             assert main(["hybrid", "path:7", "--ks", "1", "--reps", "2",
                          "--out", name]) == 0
         assert (workdir / "h1.csv").read_bytes() == (workdir / "h2.csv").read_bytes()
+
+
+class TestTooFewVertices:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["layout", "path:1", "--alg", "sgd"],
+            ["layout", "path:1", "--alg", "smacof"],
+            ["layout", "path:1", "--alg", "hybrid"],
+            ["bench", "path:1", "--reps", "1", "--out", "r.csv", "--trace", "t.csv"],
+            ["hybrid", "path:1", "--reps", "1", "--out", "h.csv", "--trace", "t.csv"],
+        ],
+    )
+    def test_single_vertex_exits_1_without_outputs(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        assert "at least two" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_info_still_works(self, workdir, capsys):
+        assert main(["info", "path:1"]) == 0
+        assert "vertices: 1" in capsys.readouterr().out
 
 
 class TestInfoCommand:

@@ -270,6 +270,20 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             d.matrix[0, 1] = 5.0
 
+    def test_pair_table(self):
+        d = all_pairs_shortest_paths(grid_graph(3, 4))
+        i, j, targets = d.pairs
+        expected_i, expected_j = np.triu_indices(12, 1)
+        assert np.array_equal(i, expected_i) and np.array_equal(j, expected_j)
+        assert list(zip(i.tolist(), j.tolist())) == sorted(
+            (a, b) for a in range(12) for b in range(a + 1, 12)
+        )
+        assert np.array_equal(targets, d.matrix[expected_i, expected_j])
+        assert d.pairs is d.pairs
+        for column in d.pairs:
+            with pytest.raises(ValueError):
+                column[0] = 7
+
     @pytest.mark.parametrize(
         "matrix, fragment",
         [

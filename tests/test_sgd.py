@@ -17,7 +17,6 @@ from stresslayout import (
     random_init,
     run_sgd,
     run_smacof,
-    sgd_iteration,
     stress,
 )
 
@@ -146,19 +145,23 @@ class TestPairUpdate:
             assert abs(math.hypot(*(a - b)) - d) <= 1e-12 * d
 
 
+def one_iteration(x0, dist, schedule, seed):
+    layout, _ = run_sgd(dist, x0, SgdConfig(schedule, seed=seed), iterations=1)
+    return layout
+
+
 class TestSgdIteration:
     def test_single_pair_realizes_distance(self):
         dist = all_pairs_shortest_paths(path_graph(2))
         sched = default_schedule(dist, t_max=1)
-        rng = np.random.default_rng(0)
-        x = sgd_iteration([[0.0, 0.0], [5.0, 0.0]], dist, sched, 0, rng)
+        x = one_iteration([[0.0, 0.0], [5.0, 0.0]], dist, sched, 0)
         assert math.hypot(*(x[0] - x[1])) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_pair_update_for_n2(self):
         dist = all_pairs_shortest_paths(path_graph(2))
         sched = Schedule(t_max=1, eta_max=0.25, eta_min=0.25)
         x0 = np.array([[0.0, 0.0], [3.0, 1.0]])
-        got = sgd_iteration(x0, dist, sched, 0, np.random.default_rng(1))
+        got = one_iteration(x0, dist, sched, 1)
         p, q = pair_update(x0[0], x0[1], 1.0, sched.mu(0, 1.0))
         assert np.allclose(got, np.vstack([p, q]), atol=1e-15)
 
@@ -166,8 +169,8 @@ class TestSgdIteration:
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
         sched = default_schedule(dist)
         x0 = random_init(9, 5)
-        a = sgd_iteration(x0, dist, sched, 0, np.random.default_rng(11))
-        b = sgd_iteration(x0, dist, sched, 0, np.random.default_rng(11))
+        a = one_iteration(x0, dist, sched, 11)
+        b = one_iteration(x0, dist, sched, 11)
         assert np.array_equal(a, b)
 
     def test_path3_stress_decreases_all_seeds(self):
@@ -176,7 +179,7 @@ class TestSgdIteration:
         for seed in range(10):
             x0 = random_init(3, seed)
             before = stress(x0, dist)
-            x1 = sgd_iteration(x0, dist, sched, 0, np.random.default_rng(seed))
+            x1 = one_iteration(x0, dist, sched, seed)
             assert stress(x1, dist) < before
 
 

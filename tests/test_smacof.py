@@ -158,7 +158,6 @@ class TestConfigValidation:
         [
             {"max_iterations": 0},
             {"rel_tolerance": 0.0},
-            {"jitter_epsilon": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
