@@ -264,10 +264,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
+    ks = [int(tok) for tok in args.ks.split(",") if tok]
+    for k in ks:
+        if not 0 <= k <= args.iters:
+            raise ValueError(f"--ks: each k must be in [0, {args.iters}] (--iters), got {k}")
     name, graph = _load_connected(args.input, args.format, args.strict)
     dist = all_pairs_shortest_paths(graph)
     schedule = default_schedule(dist, args.iters, args.eps)
-    ks = [int(tok) for tok in args.ks.split(",") if tok]
     traces = run_grid(
         ExperimentConfig(
             graphs=((name, graph),),

@@ -1,8 +1,12 @@
 """Stress minimization by per-pair stochastic descent with an annealed step.
 
-Each iteration visits every unordered vertex pair once, in a fresh random
-order, and moves the two endpoints along their connecting line so the pair
-distance gets closer to the target.  The per-pair step width is
+Each iteration visits every unordered vertex pair once and moves the two
+endpoints along their connecting line so the pair distance gets closer to
+the target.  The pairs come in the n - 1 disjoint matching rounds of a
+circle-method round robin (n rounds for odd n), so one vectorized step per
+round equals a sequential sweep in some order; each iteration draws that
+order afresh.  A seed's random stream is fixed per version of this sweep.
+The per-pair step width is
 
     mu(t) = min(1, eta(t) / d_ij**2)
 
@@ -98,44 +102,45 @@ def pair_update(p, q, d: float, mu: float):
     return p - move, q + move
 
 
-def _pair_table(dist: DistanceMatrix):
-    """The i<j pair table in plain-Python form for the hot loop."""
-    i, j, targets = dist.pairs
-    return i.tolist(), j.tolist(), targets.tolist(), targets**-2.0
+def _rounds(n: int):
+    """Circle-method round robin: every unordered slot pair in exactly one round.
 
-
-def _sweep(xs, ys, is_, js_, targets, mus, order, rng):
-    """One pass of dyadic updates, in the given pair order, in place.
-
-    Updates are sequential: each pair sees the already-moved positions of
-    earlier pairs.  Coincident pairs are first nudged apart by
-    JITTER_EPSILON in a random direction (both endpoints, opposite ways,
-    so the midpoint is kept).
+    Returns slot arrays (a, b) of shape (m - 1, m // 2), with m = n rounded
+    up to even; row r pairs a[r, k] with b[r, k], and no slot occurs twice
+    in a row.  Slot m - 1 stays fixed and meets the rotating slot r in
+    column 0.  For odd n that fixed slot is a bye, so column 0 is dropped.
     """
-    for p in order:
-        i = is_[p]
-        j = js_[p]
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        length = math.sqrt(dx * dx + dy * dy)
-        if length <= 0.0:
-            angle = rng.uniform(0.0, TWO_PI)
-            ux = JITTER_EPSILON * math.cos(angle)
-            uy = JITTER_EPSILON * math.sin(angle)
-            xs[i] += ux
-            ys[i] += uy
-            xs[j] -= ux
-            ys[j] -= uy
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            length = math.sqrt(dx * dx + dy * dy)
-        step = 0.5 * mus[p] * (length - targets[p]) / length
-        mx = step * dx
-        my = step * dy
-        xs[i] -= mx
-        ys[i] -= my
-        xs[j] += mx
-        ys[j] += my
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(m // 2)
+    a = (r + k) % (m - 1)
+    b = (r - k) % (m - 1)
+    b[:, 0] = m - 1
+    if n % 2:
+        return a[:, 1:], b[:, 1:]
+    return a, b
+
+
+def _round(z, i, j, d, mu, rng):
+    """Update the disjoint pairs (i[k], j[k]) of points z = x + iy at once, in place.
+
+    No vertex occurs twice in i and j together, so the result equals
+    pair_update on each pair in turn, in any order.  Coincident pairs are
+    first nudged apart by JITTER_EPSILON in a random direction (both
+    endpoints, opposite ways, so the midpoint is kept).
+    """
+    delta = z[i] - z[j]
+    length = np.abs(delta)
+    coincident = length <= 0.0
+    if coincident.any():
+        nudge = JITTER_EPSILON * np.exp(1j * rng.uniform(0.0, TWO_PI, np.count_nonzero(coincident)))
+        z[i[coincident]] += nudge
+        z[j[coincident]] -= nudge
+        delta = z[i] - z[j]
+        length = np.abs(delta)
+    move = (0.5 * mu * (length - d) / length) * delta
+    z[i] -= move
+    z[j] += move
 
 
 def run_sgd(
@@ -151,8 +156,10 @@ def run_sgd(
     trace[t] the stress after iteration t, one entry per iteration run.
     ``iterations`` truncates the run to the first steps of the schedule
     (the random stream is consumed identically, so a truncated run is a
-    prefix of the full one).  Each iteration draws its pair permutation
-    and then any jitter from one generator seeded by config.seed.
+    prefix of the full one).  One generator seeded by config.seed feeds
+    every iteration, in this order: a permutation of the n vertices over
+    the round-robin slots, a permutation of the rounds, then one jitter
+    angle per coincident pair as the rounds meet them.
     ``callback(t, layout)`` fires after each iteration with 1-based t.
     """
     x = as_layout(init, dist.n)
@@ -161,16 +168,21 @@ def run_sgd(
     if not 0 <= steps <= schedule.t_max:
         raise ValueError(f"iterations must be in [0, {schedule.t_max}], got {steps}")
     rng = np.random.default_rng(config.seed)
-    is_, js_, targets, weights = _pair_table(dist)
-    xs = x[:, 0].tolist()
-    ys = x[:, 1].tolist()
+    slot_a, slot_b = _rounds(dist.n)
+    # points as complex numbers x + iy: one gather and one scatter per endpoint
+    z = x[:, 0] + 1j * x[:, 1]
     trace = [stress(x, dist)]
     for t in range(steps):
-        mus = np.minimum(1.0, schedule.eta(t) * weights).tolist()
-        order = rng.permutation(len(is_)).tolist()
-        _sweep(xs, ys, is_, js_, targets, mus, order, rng)
-        current = np.column_stack((xs, ys))
+        vertex = rng.permutation(dist.n)
+        order = rng.permutation(len(slot_a))
+        a = vertex[slot_a[order]]
+        b = vertex[slot_b[order]]
+        d = dist.matrix[a, b]
+        mu = np.minimum(1.0, schedule.eta(t) / (d * d))
+        for i, j, d_round, mu_round in zip(a, b, d, mu):
+            _round(z, i, j, d_round, mu_round, rng)
+        current = np.column_stack((z.real, z.imag))
         trace.append(stress(current, dist))
         if callback is not None:
             callback(t + 1, current)
-    return np.column_stack((xs, ys)), trace
+    return np.column_stack((z.real, z.imag)), trace

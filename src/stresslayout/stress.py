@@ -40,8 +40,8 @@ def stress(coords, dist: DistanceMatrix) -> float:
     """
     x = as_layout(coords, dist.n)
     i, j, target = dist.pairs
-    delta = x[i] - x[j]
-    lengths = np.hypot(delta[:, 0], delta[:, 1])
+    xs, ys = x.T
+    lengths = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
     terms = ((lengths - target) / target) ** 2
     return math.fsum(terms.tolist())
 

@@ -158,6 +158,17 @@ class TestHybridCommand:
                          "--out", name]) == 0
         assert (workdir / "h1.csv").read_bytes() == (workdir / "h2.csv").read_bytes()
 
+    @pytest.mark.parametrize("ks", ["1,20", "-1"])
+    def test_bad_ks_fail_before_running(self, workdir, capsys, monkeypatch, ks):
+        def fail(config):
+            raise AssertionError("run_grid must not be called")
+
+        monkeypatch.setattr(cli, "run_grid", fail)
+        assert main(["hybrid", "path:30", f"--ks={ks}", "--reps", "1", "--out", "h.csv"]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and ks.split(",")[-1] in err
+        assert not (workdir / "h.csv").exists()
+
 
 class TestTooFewVertices:
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from stresslayout import (
     run_smacof,
     stress,
 )
+from stresslayout.sgd import _round, _rounds
 
 
 class TestSchedule:
@@ -143,6 +144,46 @@ class TestPairUpdate:
             d = float(rng.uniform(0.5, 20.0))
             a, b = pair_update(pi, pj, d, 1.0)
             assert abs(math.hypot(*(a - b)) - d) <= 1e-12 * d
+
+
+class TestMatchingRounds:
+    @given(st.integers(2, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_rounds_partition_all_pairs(self, n):
+        a, b = _rounds(n)
+        assert a.shape == b.shape == (n - 1 + n % 2, n // 2)
+        for row_a, row_b in zip(a, b):
+            slots = np.concatenate((row_a, row_b))
+            assert len(set(slots.tolist())) == len(slots)  # disjoint within a round
+        pairs = sorted(zip(np.minimum(a, b).ravel().tolist(), np.maximum(a, b).ravel().tolist()))
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_round_equals_sequential_pair_updates(self, n):
+        rng = np.random.default_rng(n)
+        a, b = _rounds(n)
+        vertex = rng.permutation(n)
+        x = rng.normal(scale=3.0, size=(n, 2))
+        for row in range(len(a)):
+            i, j = vertex[a[row]], vertex[b[row]]
+            d = rng.uniform(0.5, 10.0, len(i))
+            mu = rng.uniform(0.0, 1.0, len(i))
+            expected = x.copy()
+            for p, q, d_pq, mu_pq in zip(i, j, d, mu):
+                expected[p], expected[q] = pair_update(expected[p], expected[q], d_pq, mu_pq)
+            z = x[:, 0] + 1j * x[:, 1]
+            _round(z, i, j, d, mu, rng)
+            assert np.abs(np.column_stack((z.real, z.imag)) - expected).max() <= 1e-12
+            x = expected
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_coincident_start_even_and_odd(self, n):
+        dist = all_pairs_shortest_paths(path_graph(n))
+        cfg = SgdConfig(default_schedule(dist), seed=3)
+        layout, trace = run_sgd(dist, np.zeros((n, 2)), cfg)
+        assert np.isfinite(layout).all()
+        assert all(math.isfinite(v) for v in trace)
+        assert trace[-1] < trace[0]
 
 
 def one_iteration(x0, dist, schedule, seed):
