@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, all_pairs_shortest_paths
-from .initializers import PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import SgdConfig, default_schedule, run_sgd
-from .smacof import SmacofConfig, run_smacof
+from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
+from .sgd import EPS, ITERATIONS, SgdConfig, default_schedule, run_sgd
+from .smacof import run_smacof
 from .stress import stress
 
 # Per-step tolerance when checking that majorization traces never increase.
@@ -45,7 +45,6 @@ class StressTrace:
     this is checked at construction.
     """
 
-    run_id: str
     graph: str
     algorithm: str
     initializer: str
@@ -70,6 +69,10 @@ class StressTrace:
                     )
 
     @property
+    def run_id(self) -> str:
+        return f"{self.graph}/{self.algorithm}/{self.initializer}/s{self.seed}"
+
+    @property
     def final(self) -> float:
         return self.values[-1]
 
@@ -83,9 +86,8 @@ class ExperimentConfig:
     initializers: tuple[str, ...] = ("random", "cmds")
     repetitions: int = 10
     base_seed: int = 0
-    sgd_iterations: int = 15
-    sgd_eps: float = 0.01
-    pivots: int = 100
+    sgd_iterations: int = ITERATIONS
+    sgd_eps: float = EPS
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -104,7 +106,6 @@ class DeviationRow:
     algorithm: str
     initializer: str
     mean_final_stress: float
-    final_stresses: tuple[float, ...]
     deviation: float
 
 
@@ -128,14 +129,13 @@ def run_grid(config: ExperimentConfig) -> list[StressTrace]:
             for initializer in config.initializers:
                 for r in range(config.repetitions):
                     seed = config.base_seed + r
-                    x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed, config)
+                    x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed)
                     if algorithm == "sgd":
                         _, values = run_sgd(dist, x0, SgdConfig(schedule, seed=seed))
                     else:
-                        _, values = run_smacof(dist, x0, SmacofConfig())
+                        _, values = run_smacof(dist, x0)
                     traces.append(
                         StressTrace(
-                            run_id=f"{name}/{algorithm}/{initializer}/r{r}",
                             graph=name,
                             algorithm=algorithm,
                             initializer=initializer,
@@ -146,62 +146,47 @@ def run_grid(config: ExperimentConfig) -> list[StressTrace]:
     return traces
 
 
-def _initial_layout(initializer, graph, dist, cmds_layout, seed, config):
+def _initial_layout(initializer, graph, dist, cmds_layout, seed):
     if initializer == "random":
         return random_init(dist.n, seed)
     if initializer == "cmds":
         return cmds_layout
-    k = min(config.pivots, graph.n)
-    return pivot_mds(graph, PivotConfig(k=k, seed=seed))
+    return pivot_mds(graph, PivotConfig(k=min(PIVOTS, graph.n), seed=seed))
 
 
-def hybrid_layout(
-    dist: DistanceMatrix,
-    k: int,
-    sgd_config: SgdConfig,
-    smacof_config: SmacofConfig,
-    seed: int,
-    callback=None,
-):
+def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=None):
     """Random start, k SGD iterations, then majorization to convergence.
 
-    The SGD phase runs the first k steps of the full schedule, so for
-    matching seeds it is a bit-exact prefix of a plain SGD run; with k = 0
-    the result equals plain majorization from the random layout.  Returns
-    (layout, values); values[:k+1] cover the SGD phase (index 0 = initial
-    stress) and the majorization phase follows.
+    sgd_config.seed seeds both the random start and the SGD phase.  The
+    SGD phase runs the first k steps of the full schedule, so it is a
+    bit-exact prefix of a plain SGD run from random_init(n, seed) with the
+    same config; with k = 0 the result equals plain majorization (default
+    SmacofConfig) from that random layout.  Returns (layout, values);
+    values[:k+1] cover the SGD phase (index 0 = initial stress) and the
+    majorization phase follows.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    x0 = random_init(dist.n, seed)
-    if k > 0:
-        cfg = SgdConfig(sgd_config.schedule, seed=seed)
-        x1, sgd_values = run_sgd(dist, x0, cfg, iterations=k, callback=callback)
+    x0 = random_init(dist.n, sgd_config.seed)
+    if k:
+        x1, sgd_values = run_sgd(dist, x0, sgd_config, iterations=k, callback=callback)
     else:
         x1, sgd_values = x0, [stress(x0, dist)]
     smacof_callback = None
     if callback is not None:
         smacof_callback = lambda t, layout: callback(k + t, layout)
-    layout, smacof_values = run_smacof(dist, x1, smacof_config, callback=smacof_callback)
+    layout, smacof_values = run_smacof(dist, x1, callback=smacof_callback)
     return layout, list(sgd_values) + list(smacof_values[1:])
 
 
 def run_hybrid(
-    dist: DistanceMatrix,
-    k: int,
-    sgd_config: SgdConfig,
-    smacof_config: SmacofConfig,
-    seed: int,
-    graph: str = "graph",
+    dist: DistanceMatrix, k: int, sgd_config: SgdConfig, graph: str = "graph"
 ) -> StressTrace:
     """hybrid_layout wrapped into a StressTrace; phase_boundary = k."""
-    _, values = hybrid_layout(dist, k, sgd_config, smacof_config, seed)
+    _, values = hybrid_layout(dist, k, sgd_config)
     return StressTrace(
-        run_id=f"{graph}/hybrid/sgd_{k}/s{seed}",
         graph=graph,
         algorithm="hybrid",
         initializer=f"sgd_{k}",
-        seed=seed,
+        seed=sgd_config.seed,
         values=tuple(values),
         phase_boundary=k,
     )
@@ -226,15 +211,13 @@ def relative_deviation(traces) -> DeviationReport:
         graph, algorithm, initializer = key
         if graph not in baselines:
             raise ValueError(f"missing smacof x cmds baseline cell for graph {graph!r}")
-        finals = cells[key]
-        mean = float(np.mean(finals))
+        mean = float(np.mean(cells[key]))
         rows.append(
             DeviationRow(
                 graph=graph,
                 algorithm=algorithm,
                 initializer=initializer,
                 mean_final_stress=mean,
-                final_stresses=tuple(finals),
                 deviation=mean / baselines[graph] - 1.0,
             )
         )
@@ -293,7 +276,6 @@ def parse_traces_csv(source) -> list[StressTrace]:
         grouped.setdefault(key, []).append(float(value))
     return [
         StressTrace(
-            run_id=f"{graph}/{algorithm}/{initializer}/s{seed}",
             graph=graph,
             algorithm=algorithm,
             initializer=initializer,

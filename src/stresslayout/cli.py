@@ -36,9 +36,9 @@ from .graphs import (
     parse_edge_list,
     parse_matrix_market,
 )
-from .initializers import PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import SgdConfig, default_schedule, run_sgd
-from .smacof import SmacofConfig, run_smacof
+from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
+from .sgd import EPS, ITERATIONS, SgdConfig, default_schedule, run_sgd
+from .smacof import MAX_SWEEPS, SmacofConfig, run_smacof
 from .svg import render_svg
 
 _SYNTHETIC = re.compile(r"^(path|cycle|grid|complete):(\d+(?:,\d+)*)$")
@@ -78,18 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     layout = sub.add_parser("layout", help="lay out one graph, write SVG and stress trace")
     _add_input_options(layout)
     layout.add_argument("--alg", choices=("sgd", "smacof", "hybrid"), default="sgd",
-                        help="optimizer (default: sgd)")
+                        help="optimizer (default: %(default)s)")
     layout.add_argument("--init", choices=INITIALIZERS, default="random",
-                        help="initial layout (default: random)")
-    layout.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")
+                        help="initial layout; --alg hybrid always starts random "
+                        "(default: %(default)s)")
+    layout.add_argument("--seed", type=int, default=0, help="run seed (default: %(default)s)")
     layout.add_argument("--iters", type=int, default=None,
-                        help="SGD iterations / majorization iteration cap")
-    layout.add_argument("--eps", type=float, default=0.01,
-                        help="final relative step of the SGD schedule (default: 0.01)")
-    layout.add_argument("--pivots", type=int, default=100,
-                        help="pivot count for --init pivot (default: 100)")
+                        help=f"SGD schedule length (default: {ITERATIONS}) or "
+                        f"majorization sweep cap (default: {MAX_SWEEPS})")
+    layout.add_argument("--eps", type=float, default=EPS,
+                        help="final relative step of the SGD schedule (default: %(default)s)")
+    layout.add_argument("--pivots", type=int, default=PIVOTS,
+                        help="pivot count for --init pivot (default: %(default)s)")
     layout.add_argument("--sgd-k", type=int, default=7,
-                        help="SGD iterations before majorization for --alg hybrid (default: 7)")
+                        help="SGD iterations before majorization for --alg hybrid, "
+                        "in [0, --iters] (default: %(default)s)")
     layout.add_argument("--snapshots", default=None,
                         help="comma-separated iteration numbers to snapshot as SVG")
     layout.add_argument("--out", default=None, help="output SVG path")
@@ -99,15 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the algorithm x initializer grid, report deviations")
     bench.add_argument("inputs", nargs="+", help="graph files or synthetic specs")
     _add_input_flags(bench)
-    bench.add_argument("--reps", type=int, default=10, help="runs per cell (default: 10)")
+    bench.add_argument("--reps", type=int, default=10,
+                       help="runs per cell (default: %(default)s)")
     bench.add_argument("--base-seed", type=int, default=0,
-                       help="run r uses seed base+r (default: 0)")
-    bench.add_argument("--iters", type=int, default=15, help="SGD iterations (default: 15)")
-    bench.add_argument("--eps", type=float, default=0.01,
-                       help="final relative SGD step (default: 0.01)")
-    bench.add_argument("--algs", default="sgd,smacof", help="algorithms (default: sgd,smacof)")
+                       help="run r uses seed base+r (default: %(default)s)")
+    bench.add_argument("--iters", type=int, default=ITERATIONS,
+                       help="SGD iterations (default: %(default)s)")
+    bench.add_argument("--eps", type=float, default=EPS,
+                       help="final relative SGD step (default: %(default)s)")
+    bench.add_argument("--algs", default="sgd,smacof", help="algorithms (default: %(default)s)")
     bench.add_argument("--inits", default="random,cmds",
-                       help="initializers (default: random,cmds)")
+                       help="initializers (default: %(default)s)")
     bench.add_argument("--out", default=None, help="report CSV path (default: stdout)")
     bench.add_argument("--trace", default=None, help="full traces CSV path")
     bench.set_defaults(func=cmd_bench)
@@ -115,13 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid = sub.add_parser("hybrid", help="self-initialization sweep: k SGD steps then majorization")
     _add_input_options(hybrid)
     hybrid.add_argument("--ks", default="0,1,3,7,15",
-                        help="comma-separated SGD iteration counts (default: 0,1,3,7,15)")
-    hybrid.add_argument("--reps", type=int, default=10, help="runs per cell (default: 10)")
+                        help="comma-separated SGD iteration counts, each in [0, --iters] "
+                        "(default: %(default)s)")
+    hybrid.add_argument("--reps", type=int, default=10,
+                        help="runs per cell (default: %(default)s)")
     hybrid.add_argument("--base-seed", type=int, default=0,
-                        help="run r uses seed base+r (default: 0)")
-    hybrid.add_argument("--iters", type=int, default=15, help="SGD schedule length (default: 15)")
-    hybrid.add_argument("--eps", type=float, default=0.01,
-                        help="final relative SGD step (default: 0.01)")
+                        help="run r uses seed base+r (default: %(default)s)")
+    hybrid.add_argument("--iters", type=int, default=ITERATIONS,
+                        help="SGD schedule length (default: %(default)s)")
+    hybrid.add_argument("--eps", type=float, default=EPS,
+                        help="final relative SGD step (default: %(default)s)")
     hybrid.add_argument("--out", default=None, help="report CSV path (default: stdout)")
     hybrid.add_argument("--trace", default=None, help="full traces CSV path")
     hybrid.set_defaults(func=cmd_hybrid)
@@ -189,6 +197,16 @@ def _initial(init: str, graph, dist, seed: int, pivots: int):
 
 
 def cmd_layout(args) -> int:
+    iters = args.iters
+    if iters is None:
+        iters = MAX_SWEEPS if args.alg == "smacof" else ITERATIONS
+    if iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {iters}")
+    if args.alg == "hybrid":
+        if args.init != "random":
+            raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
+        if not 0 <= args.sgd_k <= iters:
+            raise ValueError(f"--sgd-k must be in [0, {iters}] (--iters), got {args.sgd_k}")
     name, graph = _load_connected(args.input, args.format, args.strict)
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
@@ -203,34 +221,19 @@ def cmd_layout(args) -> int:
             render_svg(coords, graph, target)
 
     callback = snapshot if snapshots else None
+    initializer = args.init
     if args.alg == "smacof":
-        smacof_config = SmacofConfig(max_iterations=500 if args.iters is None else args.iters)
+        x0 = _initial(args.init, graph, dist, args.seed, args.pivots)
+        layout, values = run_smacof(dist, x0, SmacofConfig(iters), callback=callback)
     else:
-        schedule = default_schedule(dist, 15 if args.iters is None else args.iters, args.eps)
-    if args.alg == "sgd":
-        layout, values = run_sgd(
-            dist,
-            _initial(args.init, graph, dist, args.seed, args.pivots),
-            SgdConfig(schedule, seed=args.seed),
-            callback=callback,
-        )
-        initializer = args.init
-    elif args.alg == "smacof":
-        layout, values = run_smacof(
-            dist,
-            _initial(args.init, graph, dist, args.seed, args.pivots),
-            smacof_config,
-            callback=callback,
-        )
-        initializer = args.init
-    else:
-        layout, values = hybrid_layout(
-            dist, args.sgd_k, SgdConfig(schedule, seed=args.seed),
-            SmacofConfig(), args.seed, callback=callback,
-        )
-        initializer = f"sgd_{args.sgd_k}"
+        sgd_config = SgdConfig(default_schedule(dist, iters, args.eps), seed=args.seed)
+        if args.alg == "sgd":
+            x0 = _initial(args.init, graph, dist, args.seed, args.pivots)
+            layout, values = run_sgd(dist, x0, sgd_config, callback=callback)
+        else:
+            layout, values = hybrid_layout(dist, args.sgd_k, sgd_config, callback=callback)
+            initializer = f"sgd_{args.sgd_k}"
     trace = StressTrace(
-        run_id=f"{name}/{args.alg}/{initializer}/s{args.seed}",
         graph=name,
         algorithm=args.alg,
         initializer=initializer,
@@ -286,8 +289,7 @@ def cmd_hybrid(args) -> int:
         for r in range(args.reps):
             seed = args.base_seed + r
             traces.append(
-                run_hybrid(dist, k, SgdConfig(schedule, seed=seed), SmacofConfig(),
-                           seed, graph=name)
+                run_hybrid(dist, k, SgdConfig(schedule, seed=seed), graph=name)
             )
     return _write_report(traces, args)
 

@@ -98,14 +98,6 @@ class DistanceMatrix:
     def matrix(self) -> np.ndarray:
         return self._d
 
-    def weight(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("weight is defined for i != j only")
-        dij = self._d[i, j]
-        if dij == 0.0:
-            raise ValueError(f"zero distance between distinct vertices {i}, {j}")
-        return float(dij**-2.0)
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Full weight matrix d**-2 with zero diagonal (read-only)."""

@@ -25,6 +25,13 @@ _POWER_SEED = 0x9E3779B9
 
 _SIGN_EPS = 1e-12
 
+# Power-iteration stopping rule; see _power_iteration.
+POWER_TOLERANCE = 1e-9
+POWER_MAX_ITERS = 100_000
+
+# Default PivotMDS pivot count.
+PIVOTS = 100
+
 
 class PowerIterationError(RuntimeError):
     """Power iteration ran out of iterations; .partial holds the layout so far."""
@@ -36,16 +43,12 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PivotConfig:
-    k: int = 100
+    k: int = PIVOTS
     seed: int = 0
-    power_tolerance: float = 1e-9
-    power_max_iters: int = 100_000
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("pivot count must be positive")
-        if self.power_tolerance <= 0.0 or self.power_max_iters < 1:
-            raise ValueError("invalid power-iteration settings")
 
 
 def random_init(n: int, seed: int) -> np.ndarray:
@@ -55,21 +58,22 @@ def random_init(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 2))
 
 
-def _power_iteration(matrix, rng, tolerance, max_iters, scale=None):
+def _power_iteration(matrix, rng, scale=None):
     """Dominant eigenpair of a symmetric matrix.
 
-    Stops when the residual |Av - lambda v| drops below tolerance * scale
-    (scale defaults to |lambda|).  The residual bound, rather than the raw
-    direction change per step, is what controls the embedding error when
-    eigenvalues are nearly tied.  Returns (lambda, v, converged).
+    Stops when the residual |Av - lambda v| drops below POWER_TOLERANCE *
+    scale (scale defaults to |lambda|), or after POWER_MAX_ITERS steps.
+    The residual bound, rather than the raw direction change per step, is
+    what controls the embedding error when eigenvalues are nearly tied.
+    Returns (lambda, v, converged).
     """
     v = rng.standard_normal(matrix.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         w = matrix @ v
         lam = float(v @ w)
-        bound = tolerance * max(abs(lam) if scale is None else scale, 1e-300)
+        bound = POWER_TOLERANCE * max(abs(lam) if scale is None else scale, 1e-300)
         if np.linalg.norm(w - lam * v) <= bound:
             return lam, v, True
         norm_w = np.linalg.norm(w)
@@ -79,13 +83,13 @@ def _power_iteration(matrix, rng, tolerance, max_iters, scale=None):
     return lam, v, False
 
 
-def _top2(matrix, tolerance, max_iters):
+def _top2(matrix):
     """Two dominant eigenpairs by power iteration with deflation, sorted
     by descending eigenvalue."""
     rng = np.random.default_rng(_POWER_SEED)
-    lam1, v1, ok1 = _power_iteration(matrix, rng, tolerance, max_iters)
+    lam1, v1, ok1 = _power_iteration(matrix, rng)
     deflated = matrix - lam1 * np.outer(v1, v1)
-    lam2, v2, ok2 = _power_iteration(deflated, rng, tolerance, max_iters, scale=abs(lam1))
+    lam2, v2, ok2 = _power_iteration(deflated, rng, scale=abs(lam1))
     pairs = sorted([(lam1, v1), (lam2, v2)], key=lambda p: -p[0])
     return pairs, ok1 and ok2
 
@@ -98,11 +102,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def classical_mds(
-    dist: DistanceMatrix,
-    tolerance: float = 1e-9,
-    max_iters: int = 100_000,
-) -> np.ndarray:
+def classical_mds(dist: DistanceMatrix) -> np.ndarray:
     """Spectral embedding of a distance matrix into the plane.
 
     Double-centers the entrywise-squared matrix and returns, per vertex,
@@ -113,14 +113,14 @@ def classical_mds(
     if dist.n < 2:
         raise ValueError("classical MDS needs at least two vertices")
     b = _double_center(dist.matrix**2)
-    pairs, converged = _top2(b, tolerance, max_iters)
+    pairs, converged = _top2(b)
     columns = [
         _fix_sign(v) * math.sqrt(max(lam, 0.0)) for lam, v in pairs
     ]
     layout = np.column_stack(columns)
     if not converged:
         raise PowerIterationError(
-            f"eigensolver did not converge within {max_iters} iterations", layout
+            f"eigensolver did not converge within {POWER_MAX_ITERS} iterations", layout
         )
     return layout
 
@@ -169,7 +169,7 @@ def pivot_mds(graph: Graph, config: PivotConfig = PivotConfig()) -> np.ndarray:
 
     _, rows = _pivots_with_rows(graph, k, config.seed)
     c = _double_center(np.array(rows).T ** 2)  # (n, k)
-    pairs, converged = _top2(c.T @ c, config.power_tolerance, config.power_max_iters)
+    pairs, converged = _top2(c.T @ c)
     columns = []
     for _, v in pairs:
         cv = c @ v
@@ -181,8 +181,7 @@ def pivot_mds(graph: Graph, config: PivotConfig = PivotConfig()) -> np.ndarray:
     layout = np.column_stack(columns)
     if not converged:
         raise PowerIterationError(
-            f"eigensolver did not converge within {config.power_max_iters} iterations",
-            layout,
+            f"eigensolver did not converge within {POWER_MAX_ITERS} iterations", layout
         )
     return layout
 

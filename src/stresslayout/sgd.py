@@ -28,6 +28,11 @@ from .stress import JITTER_EPSILON, as_layout, stress
 
 TWO_PI = 2.0 * math.pi
 
+# Default schedule: iteration count, and the final step as a fraction of a
+# full correction for the tightest pairs.
+ITERATIONS = 15
+EPS = 0.01
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -57,12 +62,13 @@ class Schedule:
             raise ValueError(f"iteration {t} outside schedule range [0, {self.t_max})")
         return self.eta_max * math.exp(-self.decay * t)
 
-    def mu(self, t: int, d: float) -> float:
-        """Weighted step width for a pair at target distance d, capped at 1."""
-        return min(1.0, self.eta(t) / (d * d))
+    def mu(self, t: int, d):
+        """Weighted step width for pairs at target distance d (a float or an
+        array), capped at 1."""
+        return np.minimum(1.0, self.eta(t) / (d * d))
 
 
-def default_schedule(dist: DistanceMatrix, t_max: int = 15, eps: float = 0.01) -> Schedule:
+def default_schedule(dist: DistanceMatrix, t_max: int = ITERATIONS, eps: float = EPS) -> Schedule:
     """Schedule spanning the distance range of a graph.
 
     eta_max = d_max**2 puts every pair at the mu = 1 cap initially;
@@ -178,7 +184,7 @@ def run_sgd(
         a = vertex[slot_a[order]]
         b = vertex[slot_b[order]]
         d = dist.matrix[a, b]
-        mu = np.minimum(1.0, schedule.eta(t) / (d * d))
+        mu = schedule.mu(t, d)
         for i, j, d_round, mu_round in zip(a, b, d, mu):
             _round(z, i, j, d_round, mu_round, rng)
         current = np.column_stack((z.real, z.imag))

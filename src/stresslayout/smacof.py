@@ -22,17 +22,18 @@ from .stress import JITTER_EPSILON, as_layout, stress
 # runs stay deterministic.
 _JITTER_SEED = 0x5AC0F
 
+# Default sweep cap, and the relative stress decrease below which a run stops.
+MAX_SWEEPS = 500
+REL_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class SmacofConfig:
-    max_iterations: int = 500
-    rel_tolerance: float = 1e-6
+    max_iterations: int = MAX_SWEEPS
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.rel_tolerance <= 0.0:
-            raise ValueError("rel_tolerance must be positive")
 
 
 def _reposition(x, target_row, weight_row, diff, lengths) -> np.ndarray:
@@ -104,8 +105,8 @@ def run_smacof(
 ):
     """Iterate majorization sweeps until the stress decrease stalls.
 
-    Stops when the relative decrease falls below config.rel_tolerance or
-    after config.max_iterations sweeps.  Returns (layout, trace) with
+    Stops when the relative decrease falls below REL_TOLERANCE or after
+    config.max_iterations sweeps.  Returns (layout, trace) with
     trace[0] the initial stress; the trace is non-increasing from index 1.
     ``callback(t, layout)`` fires after each sweep with 1-based t.
     """
@@ -119,7 +120,7 @@ def run_smacof(
         trace.append(current)
         if callback is not None:
             callback(sweep + 1, x.copy())
-        if previous <= 0.0 or (previous - current) / previous < config.rel_tolerance:
+        if previous <= 0.0 or (previous - current) / previous < REL_TOLERANCE:
             break
         previous = current
     return x, trace

@@ -23,7 +23,6 @@ import pytest
 
 from stresslayout import (
     SgdConfig,
-    SmacofConfig,
     all_pairs_shortest_paths,
     classical_mds,
     cycle_graph,
@@ -109,8 +108,7 @@ def cells(graphs):
             ],
             "hybrid": {
                 k: [
-                    run_hybrid(dist, k, SgdConfig(schedule, seed=s), SmacofConfig(),
-                               s, graph=name).final
+                    run_hybrid(dist, k, SgdConfig(schedule, seed=s), graph=name).final
                     for s in SEEDS
                 ]
                 for k in (1, 7)

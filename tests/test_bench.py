@@ -27,7 +27,6 @@ from stresslayout.bench import parse_traces_csv
 def make_trace(graph="g", algorithm="sgd", initializer="random", seed=0,
                values=(3.0, 2.0, 1.0), **kwargs):
     return StressTrace(
-        run_id=f"{graph}/{algorithm}/{initializer}/s{seed}",
         graph=graph,
         algorithm=algorithm,
         initializer=initializer,
@@ -101,7 +100,6 @@ class TestRunGrid:
             algorithms=("smacof",),
             initializers=("pivot",),
             repetitions=1,
-            pivots=5,
         )
         traces = run_grid(cfg)
         assert traces[0].initializer == "pivot"
@@ -179,37 +177,28 @@ class TestHybrid:
     def setup_method(self):
         self.dist = all_pairs_shortest_paths(grid_graph(3, 4))
         self.schedule = default_schedule(self.dist)
-        self.sgd_cfg = SgdConfig(self.schedule, seed=0)
 
     def test_k0_equals_plain_smacof(self):
-        from stresslayout import SmacofConfig
-
-        trace = run_hybrid(self.dist, 0, self.sgd_cfg, SmacofConfig(), seed=4, graph="g")
+        trace = run_hybrid(self.dist, 0, SgdConfig(self.schedule, seed=4), graph="g")
         _, expected = run_smacof(self.dist, random_init(12, 4))
         assert trace.values == tuple(expected)
         assert trace.phase_boundary == 0
         assert trace.initializer == "sgd_0"
 
     def test_full_k_matches_sgd_prefix(self):
-        from stresslayout import SmacofConfig
-
         k = self.schedule.t_max
-        trace = run_hybrid(self.dist, k, self.sgd_cfg, SmacofConfig(), seed=2)
+        trace = run_hybrid(self.dist, k, SgdConfig(self.schedule, seed=2))
         _, sgd_trace = run_sgd(self.dist, random_init(12, 2), SgdConfig(self.schedule, seed=2))
         assert trace.values[: k + 1] == tuple(sgd_trace)
 
     def test_layout_variant_returns_final_layout(self):
-        from stresslayout import SmacofConfig
-
-        layout, values = hybrid_layout(self.dist, 2, self.sgd_cfg, SmacofConfig(), seed=1)
+        layout, values = hybrid_layout(self.dist, 2, SgdConfig(self.schedule, seed=1))
         assert layout.shape == (12, 2)
         assert len(values) > 3
 
     def test_negative_k_rejected(self):
-        from stresslayout import SmacofConfig
-
         with pytest.raises(ValueError):
-            run_hybrid(self.dist, -1, self.sgd_cfg, SmacofConfig(), seed=0)
+            run_hybrid(self.dist, -1, SgdConfig(self.schedule, seed=0))
 
 
 class TestCsv:
@@ -251,9 +240,11 @@ class TestCsv:
     def test_deterministic_bytes(self, tmp_path):
         cfg = ExperimentConfig(graphs=(("p", path_graph(6)),), repetitions=2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_csv(run_grid(cfg), a)
+        traces = run_grid(cfg)
+        export_csv(traces, a)
         export_csv(run_grid(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+        assert [t.run_id for t in parse_traces_csv(a)] == [t.run_id for t in traces]
 
     def test_report_type(self):
         traces = [make_trace(algorithm="smacof", initializer="cmds")]

@@ -72,6 +72,24 @@ class TestLayoutCommand:
         assert code == 0
         assert (workdir / "h.svg").exists()
 
+    def test_hybrid_rejects_init(self, workdir, capsys):
+        code = main(["layout", "grid:5,5", "--alg", "hybrid", "--init", "cmds",
+                     "--out", "h.svg", "--trace", "h.csv"])
+        assert code == 1
+        assert "--init" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--sgd-k", "-1"], ["--sgd-k", "16"],
+                                      ["--sgd-k", "6", "--iters", "5"]])
+    def test_hybrid_bad_k_fails_before_loading(self, workdir, capsys, monkeypatch, argv):
+        def fail(graph):
+            raise AssertionError("all_pairs_shortest_paths must not be called")
+
+        monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
+        assert main(["layout", "grid:5,5", "--alg", "hybrid", *argv]) == 1
+        assert "--sgd-k" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_pivot_init(self, workdir):
         code = main(["layout", "grid:4,4", "--alg", "smacof", "--init", "pivot",
                      "--pivots", "6", "--out", "p.svg", "--trace", "p.csv"])

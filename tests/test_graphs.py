@@ -252,12 +252,6 @@ class TestGenerators:
 
 
 class TestDistanceMatrix:
-    def test_weight_accessor(self):
-        d = DistanceMatrix([[0.0, 2.0], [2.0, 0.0]])
-        assert d.weight(0, 1) == 0.25
-        with pytest.raises(ValueError):
-            d.weight(1, 1)
-
     def test_weights_matrix(self):
         d = all_pairs_shortest_paths(path_graph(3))
         w = d.weights

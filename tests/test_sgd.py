@@ -76,6 +76,12 @@ class TestMu:
             assert all(a >= b for a, b in zip(mus, mus[1:]))
             assert all(m <= 1.0 for m in mus)
 
+    def test_array_matches_scalar(self):
+        s = Schedule(t_max=10, eta_max=100.0, eta_min=0.01)
+        d = np.array([0.5, 1.0, 3.0, 9.0, 20.0])
+        for t in range(10):
+            assert s.mu(t, d).tolist() == [s.mu(t, float(v)) for v in d]
+
 
 class TestDefaultSchedule:
     def test_spans_distance_range(self):
