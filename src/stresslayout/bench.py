@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import DistanceMatrix, Graph, all_pairs_shortest_paths
 from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import EPS, ITERATIONS, SgdConfig, default_schedule, run_sgd
+from .sgd import EPS, ITERATIONS, SgdConfig, check_eps, default_schedule, run_sgd
 from .smacof import run_smacof
 from .stress import stress
 
@@ -92,6 +92,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.sgd_iterations < 1:
+            raise ValueError(f"SGD iterations must be positive, got {self.sgd_iterations}")
+        check_eps(self.sgd_eps)
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
@@ -120,29 +123,43 @@ def run_grid(config: ExperimentConfig) -> list[StressTrace]:
     Deterministic: repetition r of every cell uses seed base_seed + r, and
     cells are emitted in configuration order.
     """
+    return run_hybrid(config, ())
+
+
+def run_hybrid(config: ExperimentConfig, ks) -> list[StressTrace]:
+    """Per graph, run_grid's cells and then, on the same distance matrix,
+    hybrid_layout for each k in ks and repetition (k-major, seed
+    base_seed + r), traced as initializer sgd_<k> with phase_boundary = k.
+    """
     traces: list[StressTrace] = []
+    seeds = range(config.base_seed, config.base_seed + config.repetitions)
+    cells = [(a, i, None) for a in config.algorithms for i in config.initializers]
+    cells += [("hybrid", f"sgd_{k}", k) for k in ks]
     for name, graph in config.graphs:
         dist = all_pairs_shortest_paths(graph)
         schedule = default_schedule(dist, config.sgd_iterations, config.sgd_eps)
         cmds_layout = classical_mds(dist) if "cmds" in config.initializers else None
-        for algorithm in config.algorithms:
-            for initializer in config.initializers:
-                for r in range(config.repetitions):
-                    seed = config.base_seed + r
+        for algorithm, initializer, k in cells:
+            for seed in seeds:
+                sgd_config = SgdConfig(schedule, seed=seed)
+                if algorithm == "hybrid":
+                    _, values = hybrid_layout(dist, k, sgd_config)
+                else:
                     x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed)
                     if algorithm == "sgd":
-                        _, values = run_sgd(dist, x0, SgdConfig(schedule, seed=seed))
+                        _, values = run_sgd(dist, x0, sgd_config)
                     else:
                         _, values = run_smacof(dist, x0)
-                    traces.append(
-                        StressTrace(
-                            graph=name,
-                            algorithm=algorithm,
-                            initializer=initializer,
-                            seed=seed,
-                            values=tuple(values),
-                        )
+                traces.append(
+                    StressTrace(
+                        graph=name,
+                        algorithm=algorithm,
+                        initializer=initializer,
+                        seed=seed,
+                        values=tuple(values),
+                        phase_boundary=k,
                     )
+                )
     return traces
 
 
@@ -151,7 +168,7 @@ def _initial_layout(initializer, graph, dist, cmds_layout, seed):
         return random_init(dist.n, seed)
     if initializer == "cmds":
         return cmds_layout
-    return pivot_mds(graph, PivotConfig(k=min(PIVOTS, graph.n), seed=seed))
+    return pivot_mds(graph, PivotConfig(k=PIVOTS, seed=seed))
 
 
 def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=None):
@@ -175,21 +192,6 @@ def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=
         smacof_callback = lambda t, layout: callback(k + t, layout)
     layout, smacof_values = run_smacof(dist, x1, callback=smacof_callback)
     return layout, list(sgd_values) + list(smacof_values[1:])
-
-
-def run_hybrid(
-    dist: DistanceMatrix, k: int, sgd_config: SgdConfig, graph: str = "graph"
-) -> StressTrace:
-    """hybrid_layout wrapped into a StressTrace; phase_boundary = k."""
-    _, values = hybrid_layout(dist, k, sgd_config)
-    return StressTrace(
-        graph=graph,
-        algorithm="hybrid",
-        initializer=f"sgd_{k}",
-        seed=sgd_config.seed,
-        values=tuple(values),
-        phase_boundary=k,
-    )
 
 
 def relative_deviation(traces) -> DeviationReport:
@@ -260,7 +262,7 @@ def _write_rows(handle, header, rows) -> None:
 
 
 def parse_traces_csv(source) -> list[StressTrace]:
-    """Inverse of export_csv for trace files (used by tests and the benchmark checks)."""
+    """Inverse of export_csv for trace files; phase boundaries are not stored."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -281,8 +283,6 @@ def parse_traces_csv(source) -> list[StressTrace]:
             initializer=initializer,
             seed=seed,
             values=tuple(values),
-            # the phase boundary is not part of the CSV schema
-            phase_boundary=None,
         )
         for (graph, algorithm, initializer, seed), values in grouped.items()
     ]

@@ -11,6 +11,7 @@ with --format) or synthetic specifiers like ``path:100``, ``cycle:100``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -26,9 +27,7 @@ from .bench import (
     run_hybrid,
 )
 from .graphs import (
-    DisconnectedGraphError,
     Graph,
-    GraphFormatError,
     all_pairs_shortest_paths,
     connected_components,
     generate,
@@ -37,11 +36,14 @@ from .graphs import (
     parse_matrix_market,
 )
 from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import EPS, ITERATIONS, SgdConfig, default_schedule, run_sgd
+from .sgd import EPS, ITERATIONS, SgdConfig, check_eps, default_schedule, run_sgd
 from .smacof import MAX_SWEEPS, SmacofConfig, run_smacof
 from .svg import render_svg
 
 _SYNTHETIC = re.compile(r"^(path|cycle|grid|complete):(\d+(?:,\d+)*)$")
+
+# Default SGD iteration count before majorization for layout --alg hybrid.
+SGD_K = 7
 
 
 class _StrictDisconnected(Exception):
@@ -53,16 +55,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _StrictDisconnected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, DisconnectedGraphError) as exc:
+    except ValueError as exc:  # GraphFormatError and DisconnectedGraphError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -86,13 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--iters", type=int, default=None,
                         help=f"SGD schedule length (default: {ITERATIONS}) or "
                         f"majorization sweep cap (default: {MAX_SWEEPS})")
-    layout.add_argument("--eps", type=float, default=EPS,
-                        help="final relative step of the SGD schedule (default: %(default)s)")
-    layout.add_argument("--pivots", type=int, default=PIVOTS,
-                        help="pivot count for --init pivot (default: %(default)s)")
-    layout.add_argument("--sgd-k", type=int, default=7,
-                        help="SGD iterations before majorization for --alg hybrid, "
-                        "in [0, --iters] (default: %(default)s)")
+    layout.add_argument("--eps", type=float, default=None,
+                        help=f"final relative step of the SGD schedule, for --alg sgd|hybrid "
+                        f"(default: {EPS})")
+    layout.add_argument("--pivots", type=int, default=None,
+                        help=f"at most this many pivots, for --init pivot (default: {PIVOTS})")
+    layout.add_argument("--sgd-k", type=int, default=None,
+                        help="SGD iterations before majorization, for --alg hybrid, "
+                        f"in [0, --iters] (default: {SGD_K})")
     layout.add_argument("--snapshots", default=None,
                         help="comma-separated iteration numbers to snapshot as SVG")
     layout.add_argument("--out", default=None, help="output SVG path")
@@ -102,36 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the algorithm x initializer grid, report deviations")
     bench.add_argument("inputs", nargs="+", help="graph files or synthetic specs")
     _add_input_flags(bench)
-    bench.add_argument("--reps", type=int, default=10,
-                       help="runs per cell (default: %(default)s)")
-    bench.add_argument("--base-seed", type=int, default=0,
-                       help="run r uses seed base+r (default: %(default)s)")
-    bench.add_argument("--iters", type=int, default=ITERATIONS,
-                       help="SGD iterations (default: %(default)s)")
-    bench.add_argument("--eps", type=float, default=EPS,
-                       help="final relative SGD step (default: %(default)s)")
+    _add_experiment_flags(bench)
     bench.add_argument("--algs", default="sgd,smacof", help="algorithms (default: %(default)s)")
     bench.add_argument("--inits", default="random,cmds",
                        help="initializers (default: %(default)s)")
-    bench.add_argument("--out", default=None, help="report CSV path (default: stdout)")
-    bench.add_argument("--trace", default=None, help="full traces CSV path")
     bench.set_defaults(func=cmd_bench)
 
     hybrid = sub.add_parser("hybrid", help="self-initialization sweep: k SGD steps then majorization")
     _add_input_options(hybrid)
+    _add_experiment_flags(hybrid)
     hybrid.add_argument("--ks", default="0,1,3,7,15",
                         help="comma-separated SGD iteration counts, each in [0, --iters] "
                         "(default: %(default)s)")
-    hybrid.add_argument("--reps", type=int, default=10,
-                        help="runs per cell (default: %(default)s)")
-    hybrid.add_argument("--base-seed", type=int, default=0,
-                        help="run r uses seed base+r (default: %(default)s)")
-    hybrid.add_argument("--iters", type=int, default=ITERATIONS,
-                        help="SGD schedule length (default: %(default)s)")
-    hybrid.add_argument("--eps", type=float, default=EPS,
-                        help="final relative SGD step (default: %(default)s)")
-    hybrid.add_argument("--out", default=None, help="report CSV path (default: stdout)")
-    hybrid.add_argument("--trace", default=None, help="full traces CSV path")
     hybrid.set_defaults(func=cmd_hybrid)
 
     info = sub.add_parser("info", help="print graph statistics")
@@ -150,6 +132,35 @@ def _add_input_flags(parser) -> None:
 def _add_input_options(parser) -> None:
     parser.add_argument("input", help="graph file or synthetic spec like grid:10,10")
     _add_input_flags(parser)
+
+
+def _add_experiment_flags(parser) -> None:
+    """The flags bench and hybrid share; _experiment_config reads them."""
+    parser.add_argument("--reps", type=int, default=10,
+                        help="runs per cell (default: %(default)s)")
+    parser.add_argument("--base-seed", type=int, default=0,
+                        help="run r uses seed base+r (default: %(default)s)")
+    parser.add_argument("--iters", type=int, default=ITERATIONS,
+                        help="SGD schedule length (default: %(default)s)")
+    parser.add_argument("--eps", type=float, default=EPS,
+                        help="final relative SGD step (default: %(default)s)")
+    parser.add_argument("--out", default=None, help="report CSV path (default: stdout)")
+    parser.add_argument("--trace", default=None, help="full traces CSV path")
+
+
+def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfig:
+    """The campaign the flags describe, validated before any graph is loaded."""
+    config = ExperimentConfig(
+        graphs=(),
+        algorithms=algorithms,
+        initializers=initializers,
+        repetitions=args.reps,
+        base_seed=args.base_seed,
+        sgd_iterations=args.iters,
+        sgd_eps=args.eps,
+    )
+    graphs = tuple(_load_connected(spec, args.format, args.strict) for spec in specs)
+    return dataclasses.replace(config, graphs=graphs)
 
 
 def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
@@ -188,25 +199,33 @@ def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Grap
     return name, graph
 
 
-def _initial(init: str, graph, dist, seed: int, pivots: int):
+def _initial(init: str, graph, dist, seed: int, pivots: PivotConfig):
     if init == "random":
         return random_init(dist.n, seed)
     if init == "cmds":
         return classical_mds(dist)
-    return pivot_mds(graph, PivotConfig(k=min(pivots, graph.n), seed=seed))
+    return pivot_mds(graph, pivots)
 
 
 def cmd_layout(args) -> int:
+    if args.eps is not None and args.alg == "smacof":
+        raise ValueError("--eps applies only with --alg sgd|hybrid")
+    if args.pivots is not None and args.init != "pivot":
+        raise ValueError("--pivots applies only with --init pivot")
+    if args.sgd_k is not None and args.alg != "hybrid":
+        raise ValueError("--sgd-k applies only with --alg hybrid")
     iters = args.iters
     if iters is None:
         iters = MAX_SWEEPS if args.alg == "smacof" else ITERATIONS
     if iters < 1:
         raise ValueError(f"--iters must be at least 1, got {iters}")
-    if args.alg == "hybrid":
-        if args.init != "random":
-            raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
-        if not 0 <= args.sgd_k <= iters:
-            raise ValueError(f"--sgd-k must be in [0, {iters}] (--iters), got {args.sgd_k}")
+    eps = check_eps(EPS if args.eps is None else args.eps)
+    pivots = PivotConfig(k=PIVOTS if args.pivots is None else args.pivots, seed=args.seed)
+    sgd_k = SGD_K if args.sgd_k is None else args.sgd_k
+    if args.alg == "hybrid" and args.init != "random":
+        raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
+    if args.alg == "hybrid" and not 0 <= sgd_k <= iters:
+        raise ValueError(f"--sgd-k must be in [0, {iters}] (--iters), got {sgd_k}")
     name, graph = _load_connected(args.input, args.format, args.strict)
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
@@ -223,23 +242,23 @@ def cmd_layout(args) -> int:
     callback = snapshot if snapshots else None
     initializer = args.init
     if args.alg == "smacof":
-        x0 = _initial(args.init, graph, dist, args.seed, args.pivots)
+        x0 = _initial(args.init, graph, dist, args.seed, pivots)
         layout, values = run_smacof(dist, x0, SmacofConfig(iters), callback=callback)
     else:
-        sgd_config = SgdConfig(default_schedule(dist, iters, args.eps), seed=args.seed)
+        sgd_config = SgdConfig(default_schedule(dist, iters, eps), seed=args.seed)
         if args.alg == "sgd":
-            x0 = _initial(args.init, graph, dist, args.seed, args.pivots)
+            x0 = _initial(args.init, graph, dist, args.seed, pivots)
             layout, values = run_sgd(dist, x0, sgd_config, callback=callback)
         else:
-            layout, values = hybrid_layout(dist, args.sgd_k, sgd_config, callback=callback)
-            initializer = f"sgd_{args.sgd_k}"
+            layout, values = hybrid_layout(dist, sgd_k, sgd_config, callback=callback)
+            initializer = f"sgd_{sgd_k}"
     trace = StressTrace(
         graph=name,
         algorithm=args.alg,
         initializer=initializer,
         seed=args.seed,
         values=tuple(values),
-        phase_boundary=args.sgd_k if args.alg == "hybrid" else None,
+        phase_boundary=sgd_k if args.alg == "hybrid" else None,
     )
     render_svg(layout, graph, out_path)
     export_csv([trace], trace_path)
@@ -249,17 +268,8 @@ def cmd_layout(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    graphs = tuple(
-        _load_connected(spec, args.format, args.strict) for spec in args.inputs
-    )
-    config = ExperimentConfig(
-        graphs=graphs,
-        algorithms=tuple(args.algs.split(",")),
-        initializers=tuple(args.inits.split(",")),
-        repetitions=args.reps,
-        base_seed=args.base_seed,
-        sgd_iterations=args.iters,
-        sgd_eps=args.eps,
+    config = _experiment_config(
+        args, args.inputs, tuple(args.algs.split(",")), tuple(args.inits.split(","))
     )
     if "smacof" not in config.algorithms or "cmds" not in config.initializers:
         raise ValueError("the report needs the smacof x cmds reference cell in --algs/--inits")
@@ -271,27 +281,8 @@ def cmd_hybrid(args) -> int:
     for k in ks:
         if not 0 <= k <= args.iters:
             raise ValueError(f"--ks: each k must be in [0, {args.iters}] (--iters), got {k}")
-    name, graph = _load_connected(args.input, args.format, args.strict)
-    dist = all_pairs_shortest_paths(graph)
-    schedule = default_schedule(dist, args.iters, args.eps)
-    traces = run_grid(
-        ExperimentConfig(
-            graphs=((name, graph),),
-            algorithms=("smacof",),
-            initializers=("cmds", "random"),
-            repetitions=args.reps,
-            base_seed=args.base_seed,
-            sgd_iterations=args.iters,
-            sgd_eps=args.eps,
-        )
-    )
-    for k in ks:
-        for r in range(args.reps):
-            seed = args.base_seed + r
-            traces.append(
-                run_hybrid(dist, k, SgdConfig(schedule, seed=seed), graph=name)
-            )
-    return _write_report(traces, args)
+    config = _experiment_config(args, [args.input], ("smacof",), ("cmds", "random"))
+    return _write_report(run_hybrid(config, ks), args)
 
 
 def _write_report(traces, args) -> int:

@@ -240,8 +240,6 @@ def largest_connected_component(g: Graph) -> Graph:
     Ties between equal-sized components go to the one containing the
     smallest original vertex id.  Reindexing preserves ascending id order.
     """
-    if g.n == 0:
-        return g
     best: list[int] = []
     for component in connected_components(g):
         if len(component) > len(best):  # first wins ties: smallest min id

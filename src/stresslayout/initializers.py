@@ -11,7 +11,6 @@ component of each direction positive) so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +82,24 @@ def _power_iteration(matrix, rng, scale=None):
     return lam, v, False
 
 
-def _top2(matrix):
-    """Two dominant eigenpairs by power iteration with deflation, sorted
-    by descending eigenvalue."""
+def _top2(matrix, shifted=False):
+    """Two largest eigenpairs, by descending eigenvalue: power iteration
+    with deflation finds the two of largest magnitude, so if one of them is
+    negative beyond the solver tolerance (the smallest eigenvalue) the
+    matrix is shifted by it to make every eigenvalue nonnegative and solved
+    again."""
     rng = np.random.default_rng(_POWER_SEED)
     lam1, v1, ok1 = _power_iteration(matrix, rng)
     deflated = matrix - lam1 * np.outer(v1, v1)
     lam2, v2, ok2 = _power_iteration(deflated, rng, scale=abs(lam1))
     pairs = sorted([(lam1, v1), (lam2, v2)], key=lambda p: -p[0])
-    return pairs, ok1 and ok2
+    low = pairs[1][0]
+    if shifted or low >= -POWER_TOLERANCE * abs(lam1):
+        return pairs, ok1 and ok2
+    matrix = matrix.copy()
+    matrix.flat[:: len(matrix) + 1] -= low
+    pairs, ok = _top2(matrix, shifted=True)
+    return [(lam + low, v) for lam, v in pairs], ok1 and ok2 and ok
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -153,21 +161,17 @@ def _pivots_with_rows(graph, k, seed, first=None):
 
 
 def pivot_mds(graph: Graph, config: PivotConfig = PivotConfig()) -> np.ndarray:
-    """PivotMDS layout from BFS distances to k max-min pivots.
+    """PivotMDS layout from BFS distances to at most config.k max-min pivots.
 
-    The squared pivot-distance columns are double-centered and the layout
-    read off the top-2 left singular directions, column-scaled to match
-    classical MDS when k = n.
+    Uses min(config.k, n) pivots.  The squared pivot-distance columns are
+    double-centered and the layout read off the top-2 left singular
+    directions, column-scaled to match classical MDS when every vertex is
+    a pivot.
     """
     n = graph.n
     if n < 2:
         raise ValueError("PivotMDS needs at least two vertices")
-    k = config.k
-    if k > n:
-        warnings.warn(f"pivot count {k} exceeds vertex count {n}; clamped to {n}")
-        k = n
-
-    _, rows = _pivots_with_rows(graph, k, config.seed)
+    _, rows = _pivots_with_rows(graph, min(config.k, n), config.seed)
     c = _double_center(np.array(rows).T ** 2)  # (n, k)
     pairs, converged = _top2(c.T @ c)
     columns = []

@@ -68,6 +68,13 @@ class Schedule:
         return np.minimum(1.0, self.eta(t) / (d * d))
 
 
+def check_eps(eps: float) -> float:
+    """Return eps if it lies in (0, 1), the range of a schedule's final relative step."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    return eps
+
+
 def default_schedule(dist: DistanceMatrix, t_max: int = ITERATIONS, eps: float = EPS) -> Schedule:
     """Schedule spanning the distance range of a graph.
 
@@ -75,8 +82,7 @@ def default_schedule(dist: DistanceMatrix, t_max: int = ITERATIONS, eps: float =
     eta_min = eps * d_min**2 makes the final moves a factor eps of a full
     correction for the tightest pairs.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    check_eps(eps)
     if dist.n < 2:
         return Schedule(t_max, 1.0, 1.0)
     targets = dist.pairs[2]

@@ -28,6 +28,7 @@ from stresslayout import (
     cycle_graph,
     default_schedule,
     grid_graph,
+    hybrid_layout,
     largest_connected_component,
     pair_update,
     parse_matrix_market,
@@ -35,7 +36,6 @@ from stresslayout import (
     pivot_mds,
     procrustes_error,
     random_init,
-    run_hybrid,
     run_sgd,
     run_smacof,
     stress_gradient,
@@ -108,7 +108,7 @@ def cells(graphs):
             ],
             "hybrid": {
                 k: [
-                    run_hybrid(dist, k, SgdConfig(schedule, seed=s), graph=name).final
+                    hybrid_layout(dist, k, SgdConfig(schedule, seed=s))[1][-1]
                     for s in SEEDS
                 ]
                 for k in (1, 7)

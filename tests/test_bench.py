@@ -21,6 +21,7 @@ from stresslayout import (
     run_sgd,
     run_smacof,
 )
+from stresslayout import bench
 from stresslayout.bench import parse_traces_csv
 
 
@@ -179,17 +180,15 @@ class TestHybrid:
         self.schedule = default_schedule(self.dist)
 
     def test_k0_equals_plain_smacof(self):
-        trace = run_hybrid(self.dist, 0, SgdConfig(self.schedule, seed=4), graph="g")
+        _, values = hybrid_layout(self.dist, 0, SgdConfig(self.schedule, seed=4))
         _, expected = run_smacof(self.dist, random_init(12, 4))
-        assert trace.values == tuple(expected)
-        assert trace.phase_boundary == 0
-        assert trace.initializer == "sgd_0"
+        assert values == expected
 
     def test_full_k_matches_sgd_prefix(self):
         k = self.schedule.t_max
-        trace = run_hybrid(self.dist, k, SgdConfig(self.schedule, seed=2))
+        _, values = hybrid_layout(self.dist, k, SgdConfig(self.schedule, seed=2))
         _, sgd_trace = run_sgd(self.dist, random_init(12, 2), SgdConfig(self.schedule, seed=2))
-        assert trace.values[: k + 1] == tuple(sgd_trace)
+        assert values[: k + 1] == sgd_trace
 
     def test_layout_variant_returns_final_layout(self):
         layout, values = hybrid_layout(self.dist, 2, SgdConfig(self.schedule, seed=1))
@@ -198,7 +197,46 @@ class TestHybrid:
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            run_hybrid(self.dist, -1, SgdConfig(self.schedule, seed=0))
+            hybrid_layout(self.dist, -1, SgdConfig(self.schedule, seed=0))
+
+
+class TestRunHybrid:
+    def config(self, **kwargs):
+        return ExperimentConfig(
+            graphs=(("g", grid_graph(3, 4)),), algorithms=("smacof",),
+            initializers=("cmds", "random"), repetitions=2, base_seed=5, **kwargs,
+        )
+
+    def test_grid_cells_then_hybrid_runs_k_major(self):
+        traces = run_hybrid(self.config(), (0, 3))
+        assert [(t.algorithm, t.initializer, t.seed, t.phase_boundary) for t in traces] == [
+            ("smacof", "cmds", 5, None), ("smacof", "cmds", 6, None),
+            ("smacof", "random", 5, None), ("smacof", "random", 6, None),
+            ("hybrid", "sgd_0", 5, 0), ("hybrid", "sgd_0", 6, 0),
+            ("hybrid", "sgd_3", 5, 3), ("hybrid", "sgd_3", 6, 3),
+        ]
+
+    def test_values_equal_hybrid_layout(self):
+        config = self.config(sgd_iterations=6, sgd_eps=0.1)
+        dist = all_pairs_shortest_paths(grid_graph(3, 4))
+        schedule = default_schedule(dist, 6, 0.1)
+        for trace in run_hybrid(config, (2,))[4:]:
+            _, values = hybrid_layout(dist, 2, SgdConfig(schedule, seed=trace.seed))
+            assert trace.values == tuple(values)
+
+    def test_no_ks_is_run_grid(self):
+        assert run_hybrid(self.config(), ()) == run_grid(self.config())
+
+    def test_one_distance_matrix_per_graph(self, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return all_pairs_shortest_paths(graph)
+
+        monkeypatch.setattr(bench, "all_pairs_shortest_paths", counted)
+        run_hybrid(self.config(), (0, 1))
+        assert len(calls) == 1
 
 
 class TestCsv:

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from stresslayout import cli
+from stresslayout import bench, cli
 from stresslayout.cli import build_parser, main
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -13,6 +13,17 @@ DISCONNECTED_EDGES = "0 1\n2 3\n"
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+@pytest.fixture
+def no_loading(monkeypatch):
+    """Make loading a graph or building its distance matrix fail the test."""
+    def fail(*args):
+        raise AssertionError("no graph may be loaded and no distance matrix built")
+
+    monkeypatch.setattr(cli, "load_graph", fail)
+    monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
+    monkeypatch.setattr(bench, "all_pairs_shortest_paths", fail)
 
 
 def final_stress_from_trace(path):
@@ -88,6 +99,35 @@ class TestLayoutCommand:
         monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
         assert main(["layout", "grid:5,5", "--alg", "hybrid", *argv]) == 1
         assert "--sgd-k" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alg", "smacof", "--eps", "0.9"],
+            ["--pivots", "5"],
+            ["--alg", "smacof", "--init", "cmds", "--pivots", "5"],
+            ["--sgd-k", "3"],
+            ["--alg", "smacof", "--sgd-k", "3"],
+        ],
+    )
+    def test_unused_flags_rejected(self, workdir, capsys, no_loading, argv):
+        assert main(["layout", "grid:5,5", *argv]) == 1
+        assert argv[-2] in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--eps", "2"],
+            ["--alg", "hybrid", "--eps", "0"],
+            ["--init", "pivot", "--pivots", "0"],
+            ["--init", "pivot", "--pivots", "-3"],
+        ],
+    )
+    def test_out_of_range_fails_before_loading(self, workdir, capsys, no_loading, argv):
+        assert main(["layout", "grid:5,5", *argv]) == 1
+        assert "error" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
     def test_pivot_init(self, workdir):
@@ -178,14 +218,30 @@ class TestHybridCommand:
 
     @pytest.mark.parametrize("ks", ["1,20", "-1"])
     def test_bad_ks_fail_before_running(self, workdir, capsys, monkeypatch, ks):
-        def fail(config):
-            raise AssertionError("run_grid must not be called")
+        def fail(config, ks):
+            raise AssertionError("run_hybrid must not be called")
 
-        monkeypatch.setattr(cli, "run_grid", fail)
+        monkeypatch.setattr(cli, "run_hybrid", fail)
         assert main(["hybrid", "path:30", f"--ks={ks}", "--reps", "1", "--out", "h.csv"]) == 1
         err = capsys.readouterr().err
         assert "error" in err and ks.split(",")[-1] in err
         assert not (workdir / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "grid:3,3", "--eps", "1.5"],
+        ["bench", "grid:3,3", "--iters", "0"],
+        ["bench", "grid:3,3", "--reps", "0"],
+        ["hybrid", "grid:3,3", "--ks", "0", "--eps", "0"],
+        ["hybrid", "grid:3,3", "--ks", "0", "--iters", "0"],
+    ],
+)
+def test_experiment_values_checked_before_loading(workdir, capsys, no_loading, argv):
+    assert main([*argv, "--out", "r.csv", "--trace", "t.csv"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 class TestTooFewVertices:

@@ -110,6 +110,21 @@ class TestClassicalMds:
         with pytest.raises(ValueError):
             classical_mds(DistanceMatrix([[0.0]]))
 
+    @pytest.mark.parametrize("a,b", [(3, 3), (4, 4), (2, 5)])
+    def test_largest_eigenvalues_on_complete_bipartite(self, a, b):
+        # a negative eigenvalue of B dominates in magnitude here (K3,3:
+        # -2.5 against 2), which power iteration alone would pick up
+        g = Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        dist = all_pairs_shortest_paths(g)
+        n = dist.n
+        centering = np.eye(n) - np.ones((n, n)) / n
+        matrix = -0.5 * centering @ dist.matrix**2 @ centering
+        top = np.sort(np.linalg.eigvalsh(matrix))[::-1][:2]
+        layout = classical_mds(dist)
+        assert np.allclose(np.diag(layout.T @ layout), top, atol=1e-6)
+        for column, eigenvalue in zip(layout.T, top):
+            assert np.allclose(matrix @ column, eigenvalue * column, atol=1e-6)
+
     def test_non_convergence_signals_with_partial(self, monkeypatch):
         monkeypatch.setattr(initializers, "POWER_MAX_ITERS", 1)
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
@@ -174,11 +189,10 @@ class TestPivotMds:
         b = pivot_mds(g, PivotConfig(k=10, seed=3))
         assert np.array_equal(a, b)
 
-    def test_oversized_k_clamped_with_warning(self):
+    def test_oversized_k_clamped(self):
         g = path_graph(5)
-        with pytest.warns(UserWarning, match="clamped"):
-            layout = pivot_mds(g, PivotConfig(k=50, seed=0))
-        assert layout.shape == (5, 2)
+        layout = pivot_mds(g, PivotConfig(k=50, seed=0))
+        assert np.array_equal(layout, pivot_mds(g, PivotConfig(k=5, seed=0)))
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):

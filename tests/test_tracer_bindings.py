@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from stresslayout import cli
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -52,3 +54,45 @@ def test_observed_parameters():
     for params in parameters("smacof.run"):
         assert isinstance(params["config"].default.max_iterations, int)
     assert "obj" in inspect.signature(binding("cli", "export_csv")).parameters
+
+
+# Tiny jobs shaped like each benchmark workload's (see perfbench/workloads.py).
+WORKLOAD_JOBS = {
+    "sgd_mid": [
+        ["layout", "grid:4,4", "--alg", "sgd", "--init", "random", "--iters", "3"],
+        ["layout", "cycle:12", "--alg", "sgd", "--init", "pivot", "--iters", "3"],
+    ],
+    "smacof_mid": [
+        ["layout", "grid:4,4", "--alg", "smacof", "--init", "pivot"],
+        ["layout", "grid:3,5", "--alg", "smacof", "--init", "cmds"],
+    ],
+    "paper_grid": [
+        ["bench", "path:6", "grid:2,3", "--inits", "random,cmds,pivot", "--reps", "1",
+         "--iters", "3"],
+        ["hybrid", "grid:3,3", "--ks", "0,1", "--reps", "2", "--iters", "3"],
+    ],
+}
+
+
+def traced(jobs, workdir):
+    """Run cli.main on each job under an installed Tracer; returns the tracer."""
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        for index, argv in enumerate(jobs):
+            outputs = ["--out", str(workdir / f"{index}.out"),
+                       "--trace", str(workdir / f"{index}.csv")]
+            assert recorder.job(index, lambda: cli.main([*argv, *outputs])) == 0
+    finally:
+        recorder.uninstall()
+    return recorder
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_JOBS))
+def test_workload_spans_recorded(workload, tmp_path):
+    assert tracer.missing_spans(traced(WORKLOAD_JOBS[workload], tmp_path), workload) == []
+
+
+def test_hybrid_builds_one_distance_matrix(tmp_path):
+    recorder = traced([WORKLOAD_JOBS["paper_grid"][1]], tmp_path)
+    assert [span[0] for span in recorder.spans].count("graphs.apsp") == 1
