@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, all_pairs_shortest_paths
 from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import EPS, ITERATIONS, SgdConfig, check_eps, default_schedule, run_sgd
+from .sgd import EPS, ITERATIONS, SgdConfig, run_sgd
 from .smacof import run_smacof
 from .stress import stress
 
@@ -92,9 +93,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        if self.sgd_iterations < 1:
-            raise ValueError(f"SGD iterations must be positive, got {self.sgd_iterations}")
-        check_eps(self.sgd_eps)
+        SgdConfig(self.sgd_iterations, self.sgd_eps)  # raises on an out-of-range value
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
@@ -137,11 +136,10 @@ def run_hybrid(config: ExperimentConfig, ks) -> list[StressTrace]:
     cells += [("hybrid", f"sgd_{k}", k) for k in ks]
     for name, graph in config.graphs:
         dist = all_pairs_shortest_paths(graph)
-        schedule = default_schedule(dist, config.sgd_iterations, config.sgd_eps)
         cmds_layout = classical_mds(dist) if "cmds" in config.initializers else None
         for algorithm, initializer, k in cells:
             for seed in seeds:
-                sgd_config = SgdConfig(schedule, seed=seed)
+                sgd_config = SgdConfig(config.sgd_iterations, config.sgd_eps, seed)
                 if algorithm == "hybrid":
                     _, values = hybrid_layout(dist, k, sgd_config)
                 else:
@@ -184,7 +182,7 @@ def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=
     """
     x0 = random_init(dist.n, sgd_config.seed)
     if k:
-        x1, sgd_values = run_sgd(dist, x0, sgd_config, iterations=k, callback=callback)
+        x1, sgd_values = run_sgd(dist, x0, sgd_config, steps=k, callback=callback)
     else:
         x1, sgd_values = x0, [stress(x0, dist)]
     smacof_callback = None
@@ -197,7 +195,9 @@ def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=
 def relative_deviation(traces) -> DeviationReport:
     """Mean final stress per cell, relative to smacof x cmds on its graph.
 
-    deviation = mean / baseline - 1; the baseline cell itself is exactly 0.
+    deviation = mean / baseline - 1; a cell whose mean equals its baseline
+    (the baseline cell itself among them) is exactly 0, even when both are
+    0, and any other cell over a zero baseline is inf.
     Rows are sorted by graph, then algorithm, then initializer.
     """
     cells: dict[tuple[str, str, str], list[float]] = {}
@@ -214,13 +214,20 @@ def relative_deviation(traces) -> DeviationReport:
         if graph not in baselines:
             raise ValueError(f"missing smacof x cmds baseline cell for graph {graph!r}")
         mean = float(np.mean(cells[key]))
+        baseline = baselines[graph]
+        if mean == baseline:
+            deviation = 0.0
+        elif baseline == 0.0:
+            deviation = math.inf
+        else:
+            deviation = mean / baseline - 1.0
         rows.append(
             DeviationRow(
                 graph=graph,
                 algorithm=algorithm,
                 initializer=initializer,
                 mean_final_stress=mean,
-                deviation=mean / baselines[graph] - 1.0,
+                deviation=deviation,
             )
         )
     return DeviationReport(rows=tuple(rows))

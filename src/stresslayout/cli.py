@@ -36,7 +36,7 @@ from .graphs import (
     parse_matrix_market,
 )
 from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
-from .sgd import EPS, ITERATIONS, SgdConfig, check_eps, default_schedule, run_sgd
+from .sgd import EPS, ITERATIONS, SgdConfig, run_sgd
 from .smacof import MAX_SWEEPS, SmacofConfig, run_smacof
 from .svg import render_svg
 
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--sgd-k", type=int, default=None,
                         help="SGD iterations before majorization, for --alg hybrid, "
                         f"in [0, --iters] (default: {SGD_K})")
-    layout.add_argument("--snapshots", default=None,
-                        help="comma-separated iteration numbers to snapshot as SVG")
+    layout.add_argument("--snapshots", type=_int_list(1), default=None,
+                        help="comma-separated iteration numbers (from 1) to snapshot as SVG")
     layout.add_argument("--out", default=None, help="output SVG path")
     layout.add_argument("--trace", default=None, help="output trace CSV path")
     layout.set_defaults(func=cmd_layout)
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid = sub.add_parser("hybrid", help="self-initialization sweep: k SGD steps then majorization")
     _add_input_options(hybrid)
     _add_experiment_flags(hybrid)
-    hybrid.add_argument("--ks", default="0,1,3,7,15",
+    hybrid.add_argument("--ks", type=_int_list(0), default="0,1,3,7,15",
                         help="comma-separated SGD iteration counts, each in [0, --iters] "
                         "(default: %(default)s)")
     hybrid.set_defaults(func=cmd_hybrid)
@@ -120,6 +120,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(info)
     info.set_defaults(func=cmd_info)
     return parser
+
+
+def _int_list(low: int):
+    """argparse type: comma-separated integers, each at least low.
+
+    argparse prefixes the error with the flag's name and exits 2.
+    """
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers, got {text!r}") from None
+        for value in values:
+            if value < low:
+                raise argparse.ArgumentTypeError(f"each value must be at least {low}, got {value}")
+        return values
+
+    return parse
 
 
 def _add_input_flags(parser) -> None:
@@ -219,7 +238,7 @@ def cmd_layout(args) -> int:
         iters = MAX_SWEEPS if args.alg == "smacof" else ITERATIONS
     if iters < 1:
         raise ValueError(f"--iters must be at least 1, got {iters}")
-    eps = check_eps(EPS if args.eps is None else args.eps)
+    sgd_config = SgdConfig(iters, EPS if args.eps is None else args.eps, args.seed)
     pivots = PivotConfig(k=PIVOTS if args.pivots is None else args.pivots, seed=args.seed)
     sgd_k = SGD_K if args.sgd_k is None else args.sgd_k
     if args.alg == "hybrid" and args.init != "random":
@@ -230,9 +249,7 @@ def cmd_layout(args) -> int:
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
     trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")
-    snapshots = set()
-    if args.snapshots:
-        snapshots = {int(tok) for tok in args.snapshots.split(",") if tok}
+    snapshots = set(args.snapshots or ())
 
     def snapshot(t, coords):
         if t in snapshots:
@@ -244,14 +261,12 @@ def cmd_layout(args) -> int:
     if args.alg == "smacof":
         x0 = _initial(args.init, graph, dist, args.seed, pivots)
         layout, values = run_smacof(dist, x0, SmacofConfig(iters), callback=callback)
+    elif args.alg == "sgd":
+        x0 = _initial(args.init, graph, dist, args.seed, pivots)
+        layout, values = run_sgd(dist, x0, sgd_config, callback=callback)
     else:
-        sgd_config = SgdConfig(default_schedule(dist, iters, eps), seed=args.seed)
-        if args.alg == "sgd":
-            x0 = _initial(args.init, graph, dist, args.seed, pivots)
-            layout, values = run_sgd(dist, x0, sgd_config, callback=callback)
-        else:
-            layout, values = hybrid_layout(dist, sgd_k, sgd_config, callback=callback)
-            initializer = f"sgd_{sgd_k}"
+        layout, values = hybrid_layout(dist, sgd_k, sgd_config, callback=callback)
+        initializer = f"sgd_{sgd_k}"
     trace = StressTrace(
         graph=name,
         algorithm=args.alg,
@@ -277,12 +292,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    ks = [int(tok) for tok in args.ks.split(",") if tok]
-    for k in ks:
-        if not 0 <= k <= args.iters:
+    for k in args.ks:
+        if k > args.iters:
             raise ValueError(f"--ks: each k must be in [0, {args.iters}] (--iters), got {k}")
     config = _experiment_config(args, [args.input], ("smacof",), ("cmds", "random"))
-    return _write_report(run_hybrid(config, ks), args)
+    return _write_report(run_hybrid(config, args.ks), args)
 
 
 def _write_report(traces, args) -> int:

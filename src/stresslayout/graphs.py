@@ -158,7 +158,7 @@ def parse_matrix_market(source) -> Graph:
             if len(tokens) != 3:
                 raise GraphFormatError(f"line {lineno}: expected size line 'rows cols nnz'")
             try:
-                rows, cols, _ = (int(t) for t in tokens)
+                rows, cols, declared = (int(t) for t in tokens)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer size entry") from None
             if rows != cols:
@@ -178,6 +178,8 @@ def parse_matrix_market(source) -> Graph:
         entries.append((i - 1, j - 1))
     if size is None:
         raise GraphFormatError("missing size line")
+    if len(entries) != declared:
+        raise GraphFormatError(f"size line declares {declared} entries, found {len(entries)}")
     return Graph.from_edges(size, entries)
 
 

@@ -133,22 +133,16 @@ def classical_mds(dist: DistanceMatrix) -> np.ndarray:
     return layout
 
 
-def choose_pivots(graph: Graph, k: int, seed: int, first: int | None = None) -> list[int]:
-    """k pivot vertices by max-min hop distance.
+def _pivots_with_rows(graph, k, seed):
+    """k pivot vertices by max-min hop distance, with their BFS rows.
 
-    The first pivot is drawn uniformly from the seed (or given explicitly);
-    each further pivot maximizes the distance to the already-chosen set,
-    ties going to the lowest vertex index.
+    The first pivot is drawn uniformly from the seed; each further pivot
+    maximizes the distance to the already-chosen set, ties going to the
+    lowest vertex index.
     """
-    pivots, _ = _pivots_with_rows(graph, k, seed, first)
-    return pivots
-
-
-def _pivots_with_rows(graph, k, seed, first=None):
     if not 1 <= k <= graph.n:
         raise ValueError(f"pivot count must be in 1..{graph.n}, got {k}")
-    if first is None:
-        first = int(np.random.default_rng(seed).integers(graph.n))
+    first = int(np.random.default_rng(seed).integers(graph.n))
     pivots = [first]
     rows = [_hops_row(graph, first)]
     nearest = rows[0]

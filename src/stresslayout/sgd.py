@@ -10,10 +10,10 @@ The per-pair step width is
 
     mu(t) = min(1, eta(t) / d_ij**2)
 
-so every pair starts fully corrected (mu = 1) under the default schedule
-and the exponentially decaying eta(t) freezes the layout by the last
-iteration.  There is no convergence test; the schedule itself enforces
-termination.
+where eta(t) decays exponentially from d_max**2 to eps * d_min**2 over the
+run (step_widths), so every pair starts fully corrected (mu = 1) and the
+layout freezes by the last iteration.  There is no convergence test; the
+schedule itself enforces termination.
 """
 
 from __future__ import annotations
@@ -35,66 +35,40 @@ EPS = 0.01
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Exponentially decaying step widths eta(t) for t in [0, t_max)."""
+class SgdConfig:
+    """Everything that pins down one deterministic run.
 
-    t_max: int
-    eta_max: float
-    eta_min: float
+    The schedule has two free values, its length and its final relative
+    step eps; run_sgd derives the step widths from them and the graph.
+    """
+
+    iterations: int = ITERATIONS
+    eps: float = EPS
+    seed: int = 0
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if not (0.0 < self.eta_min <= self.eta_max):
-            raise ValueError(
-                f"need 0 < eta_min <= eta_max, got {self.eta_min}, {self.eta_max}"
-            )
-
-    @property
-    def decay(self) -> float:
-        if self.t_max == 1:
-            return 0.0
-        return math.log(self.eta_max / self.eta_min) / (self.t_max - 1)
-
-    def eta(self, t: int) -> float:
-        """Unweighted step width at iteration t; eta(0) = eta_max, eta(t_max-1) = eta_min."""
-        if not 0 <= t < self.t_max:
-            raise ValueError(f"iteration {t} outside schedule range [0, {self.t_max})")
-        return self.eta_max * math.exp(-self.decay * t)
-
-    def mu(self, t: int, d):
-        """Weighted step width for pairs at target distance d (a float or an
-        array), capped at 1."""
-        return np.minimum(1.0, self.eta(t) / (d * d))
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be positive, got {self.iterations}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
 
 
-def check_eps(eps: float) -> float:
-    """Return eps if it lies in (0, 1), the range of a schedule's final relative step."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return eps
+def step_widths(dist: DistanceMatrix, config: SgdConfig) -> list[float]:
+    """Unweighted step widths eta(t) for t in [0, config.iterations).
 
-
-def default_schedule(dist: DistanceMatrix, t_max: int = ITERATIONS, eps: float = EPS) -> Schedule:
-    """Schedule spanning the distance range of a graph.
-
-    eta_max = d_max**2 puts every pair at the mu = 1 cap initially;
-    eta_min = eps * d_min**2 makes the final moves a factor eps of a full
-    correction for the tightest pairs.
+    eta decays exponentially from d_max**2, which puts every pair at the
+    mu = 1 cap initially, to eps * d_min**2, which makes the final moves a
+    factor eps of a full correction for the tightest pairs.
     """
-    check_eps(eps)
     if dist.n < 2:
-        return Schedule(t_max, 1.0, 1.0)
-    targets = dist.pairs[2]
-    return Schedule(t_max, float(targets.max()) ** 2, eps * float(targets.min()) ** 2)
-
-
-@dataclass(frozen=True)
-class SgdConfig:
-    """Everything that pins down one deterministic run."""
-
-    schedule: Schedule
-    seed: int = 0
+        eta_max = eta_min = 1.0
+    else:
+        targets = dist.pairs[2]
+        eta_max = float(targets.max()) ** 2
+        eta_min = config.eps * float(targets.min()) ** 2
+    t_max = config.iterations
+    decay = 0.0 if t_max == 1 else math.log(eta_max / eta_min) / (t_max - 1)
+    return [eta_max * math.exp(-decay * t) for t in range(t_max)]
 
 
 def pair_update(p, q, d: float, mu: float):
@@ -159,14 +133,14 @@ def run_sgd(
     dist: DistanceMatrix,
     init,
     config: SgdConfig,
-    iterations: int | None = None,
+    steps: int | None = None,
     callback=None,
 ):
     """Run the full annealed schedule from a given initial layout.
 
     Returns (layout, trace) where trace[0] is the initial stress and
     trace[t] the stress after iteration t, one entry per iteration run.
-    ``iterations`` truncates the run to the first steps of the schedule
+    ``steps`` truncates the run to the first steps of the schedule
     (the random stream is consumed identically, so a truncated run is a
     prefix of the full one).  One generator seeded by config.seed feeds
     every iteration, in this order: a permutation of the n vertices over
@@ -175,22 +149,23 @@ def run_sgd(
     ``callback(t, layout)`` fires after each iteration with 1-based t.
     """
     x = as_layout(init, dist.n)
-    schedule = config.schedule
-    steps = schedule.t_max if iterations is None else iterations
-    if not 0 <= steps <= schedule.t_max:
-        raise ValueError(f"iterations must be in [0, {schedule.t_max}], got {steps}")
+    if steps is None:
+        steps = config.iterations
+    if not 0 <= steps <= config.iterations:
+        raise ValueError(f"steps must be in [0, {config.iterations}], got {steps}")
+    widths = step_widths(dist, config)
     rng = np.random.default_rng(config.seed)
     slot_a, slot_b = _rounds(dist.n)
     # points as complex numbers x + iy: one gather and one scatter per endpoint
     z = x[:, 0] + 1j * x[:, 1]
     trace = [stress(x, dist)]
-    for t in range(steps):
+    for t, eta in enumerate(widths[:steps]):
         vertex = rng.permutation(dist.n)
         order = rng.permutation(len(slot_a))
         a = vertex[slot_a[order]]
         b = vertex[slot_b[order]]
         d = dist.matrix[a, b]
-        mu = schedule.mu(t, d)
+        mu = np.minimum(1.0, eta / (d * d))
         for i, j, d_round, mu_round in zip(a, b, d, mu):
             _round(z, i, j, d_round, mu_round, rng)
         current = np.column_stack((z.real, z.imag))

@@ -65,12 +65,6 @@ def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
     return (coef[:, :, None] * diff).sum(axis=1)
 
 
-def center(coords) -> np.ndarray:
-    """Translate the layout so its centroid is at the origin."""
-    x = as_layout(coords)
-    return x - x.mean(axis=0)
-
-
 def procrustes_error(a, b) -> float:
     """RMS residual after optimally mapping layout b onto layout a.
 

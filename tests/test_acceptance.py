@@ -26,7 +26,6 @@ from stresslayout import (
     all_pairs_shortest_paths,
     classical_mds,
     cycle_graph,
-    default_schedule,
     grid_graph,
     hybrid_layout,
     largest_connected_component,
@@ -89,7 +88,6 @@ def cells(graphs):
     data = {}
     for name, graph in graphs.items():
         dist = all_pairs_shortest_paths(graph)
-        schedule = default_schedule(dist)
         cmds = classical_mds(dist)
         # the smacof x cmds pipeline consumes no seed: one run covers all
         # repetitions bit-for-bit
@@ -100,15 +98,15 @@ def cells(graphs):
                 run_smacof(dist, random_init(graph.n, s))[1][-1] for s in SEEDS
             ],
             "sgd_random": [
-                run_sgd(dist, random_init(graph.n, s), SgdConfig(schedule, seed=s))[1][-1]
+                run_sgd(dist, random_init(graph.n, s), SgdConfig(seed=s))[1][-1]
                 for s in SEEDS
             ],
             "sgd_cmds": [
-                run_sgd(dist, cmds, SgdConfig(schedule, seed=s))[1][-1] for s in SEEDS
+                run_sgd(dist, cmds, SgdConfig(seed=s))[1][-1] for s in SEEDS
             ],
             "hybrid": {
                 k: [
-                    hybrid_layout(dist, k, SgdConfig(schedule, seed=s))[1][-1]
+                    hybrid_layout(dist, k, SgdConfig(seed=s))[1][-1]
                     for s in SEEDS
                 ]
                 for k in (1, 7)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from stresslayout import (
     SgdConfig,
     StressTrace,
     all_pairs_shortest_paths,
-    default_schedule,
     export_csv,
     grid_graph,
     hybrid_layout,
@@ -119,6 +119,13 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentConfig(graphs=(), repetitions=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,fragment", [({"sgd_iterations": 0}, "iterations"), ({"sgd_eps": 1.0}, "eps")]
+    )
+    def test_sgd_values_checked_by_sgd_config(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            ExperimentConfig(graphs=(), **kwargs)
+
 
 class TestRelativeDeviation:
     def test_identical_cells_have_zero_deviation(self):
@@ -145,6 +152,19 @@ class TestRelativeDeviation:
         ]
         report = relative_deviation(traces)
         assert report.rows[0].deviation == 0.0
+
+    def test_zero_baseline(self):
+        # an exactly realizable graph: the reference cell reaches stress 0
+        traces = [
+            make_trace(algorithm="smacof", initializer="cmds", values=(3.0, 0.0)),
+            make_trace(algorithm="smacof", initializer="random", values=(3.0, 0.0)),
+            make_trace(algorithm="sgd", initializer="random", values=(3.0, 1e-30)),
+        ]
+        report = relative_deviation(traces)
+        by_cell = {(r.algorithm, r.initializer): r.deviation for r in report.rows}
+        assert by_cell == {
+            ("smacof", "cmds"): 0.0, ("smacof", "random"): 0.0, ("sgd", "random"): math.inf,
+        }
 
     def test_missing_baseline(self):
         with pytest.raises(ValueError, match="baseline"):
@@ -177,27 +197,27 @@ class TestRelativeDeviation:
 class TestHybrid:
     def setup_method(self):
         self.dist = all_pairs_shortest_paths(grid_graph(3, 4))
-        self.schedule = default_schedule(self.dist)
 
     def test_k0_equals_plain_smacof(self):
-        _, values = hybrid_layout(self.dist, 0, SgdConfig(self.schedule, seed=4))
+        _, values = hybrid_layout(self.dist, 0, SgdConfig(seed=4))
         _, expected = run_smacof(self.dist, random_init(12, 4))
         assert values == expected
 
     def test_full_k_matches_sgd_prefix(self):
-        k = self.schedule.t_max
-        _, values = hybrid_layout(self.dist, k, SgdConfig(self.schedule, seed=2))
-        _, sgd_trace = run_sgd(self.dist, random_init(12, 2), SgdConfig(self.schedule, seed=2))
+        config = SgdConfig(seed=2)
+        k = config.iterations
+        _, values = hybrid_layout(self.dist, k, config)
+        _, sgd_trace = run_sgd(self.dist, random_init(12, 2), config)
         assert values[: k + 1] == sgd_trace
 
     def test_layout_variant_returns_final_layout(self):
-        layout, values = hybrid_layout(self.dist, 2, SgdConfig(self.schedule, seed=1))
+        layout, values = hybrid_layout(self.dist, 2, SgdConfig(seed=1))
         assert layout.shape == (12, 2)
         assert len(values) > 3
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            hybrid_layout(self.dist, -1, SgdConfig(self.schedule, seed=0))
+            hybrid_layout(self.dist, -1, SgdConfig())
 
 
 class TestRunHybrid:
@@ -219,9 +239,8 @@ class TestRunHybrid:
     def test_values_equal_hybrid_layout(self):
         config = self.config(sgd_iterations=6, sgd_eps=0.1)
         dist = all_pairs_shortest_paths(grid_graph(3, 4))
-        schedule = default_schedule(dist, 6, 0.1)
         for trace in run_hybrid(config, (2,))[4:]:
-            _, values = hybrid_layout(dist, 2, SgdConfig(schedule, seed=trace.seed))
+            _, values = hybrid_layout(dist, 2, SgdConfig(6, 0.1, trace.seed))
             assert trace.values == tuple(values)
 
     def test_no_ks_is_run_grid(self):

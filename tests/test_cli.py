@@ -77,6 +77,14 @@ class TestLayoutCommand:
         assert (workdir / "g.iter3.svg").exists()
         assert not (workdir / "g.iter2.svg").exists()
 
+    @pytest.mark.parametrize("value", ["1,x", "0,-2,99", "0", "-1"])
+    def test_bad_snapshots_are_usage_errors(self, workdir, capsys, no_loading, value):
+        with pytest.raises(SystemExit) as info:
+            main(["layout", "grid:3,3", f"--snapshots={value}"])
+        assert info.value.code == 2
+        assert "--snapshots" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_hybrid_algorithm(self, workdir):
         code = main(["layout", "cycle:8", "--alg", "hybrid", "--sgd-k", "2",
                      "--out", "h.svg", "--trace", "h.csv"])
@@ -176,6 +184,16 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert out.startswith("graph,algorithm,initializer,mean_final_stress,deviation")
 
+    def test_zero_stress_baseline(self, workdir):
+        # path:3 is exactly realizable: smacof from cmds reaches stress 0.0
+        code = main(["bench", "path:3", "--reps", "1", "--out", "r.csv", "--trace", "t.csv"])
+        assert code == 0
+        with open(workdir / "r.csv", newline="") as handle:
+            rows = {(r["algorithm"], r["initializer"]): r for r in csv.DictReader(handle)}
+        assert float(rows[("smacof", "cmds")]["mean_final_stress"]) == 0.0
+        assert float(rows[("smacof", "cmds")]["deviation"]) == 0.0
+        assert (workdir / "t.csv").exists()
+
     def test_multiple_graphs(self, workdir):
         code = main(["bench", "path:6", "cycle:6", "--reps", "1", "--out", "r.csv"])
         assert code == 0
@@ -216,7 +234,7 @@ class TestHybridCommand:
                          "--out", name]) == 0
         assert (workdir / "h1.csv").read_bytes() == (workdir / "h2.csv").read_bytes()
 
-    @pytest.mark.parametrize("ks", ["1,20", "-1"])
+    @pytest.mark.parametrize("ks", ["1,20"])
     def test_bad_ks_fail_before_running(self, workdir, capsys, monkeypatch, ks):
         def fail(config, ks):
             raise AssertionError("run_hybrid must not be called")
@@ -226,6 +244,14 @@ class TestHybridCommand:
         err = capsys.readouterr().err
         assert "error" in err and ks.split(",")[-1] in err
         assert not (workdir / "h.csv").exists()
+
+    @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two"])
+    def test_bad_ks_are_usage_errors(self, workdir, capsys, no_loading, ks):
+        with pytest.raises(SystemExit) as info:
+            main(["hybrid", "path:30", f"--ks={ks}", "--reps", "1", "--out", "h.csv"])
+        assert info.value.code == 2
+        assert "--ks" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize(

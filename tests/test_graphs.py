@@ -89,6 +89,14 @@ class TestMatrixMarket:
         with pytest.raises(GraphFormatError, match=fragment):
             parse_matrix_market(text)
 
+    @pytest.mark.parametrize(
+        "entries, found", [("1 2\n", 1), ("1 2\n2 3\n3 4\n4 1\n", 4)], ids=["fewer", "more"]
+    )
+    def test_entry_count_must_match_size_line(self, entries, found):
+        text = "%%MatrixMarket matrix coordinate pattern general\n4 4 3\n" + entries
+        with pytest.raises(GraphFormatError, match=f"declares 3 entries, found {found}"):
+            parse_matrix_market(text)
+
     def test_out_of_range_reports_correct_line(self):
         text = "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n9 1\n"
         with pytest.raises(GraphFormatError, match="line 4"):

@@ -19,7 +19,7 @@ from stresslayout import (
     random_init,
 )
 from stresslayout import initializers
-from stresslayout.initializers import choose_pivots
+from stresslayout.initializers import _pivots_with_rows
 from helpers import (
     cmds_eigh_oracle,
     euclidean_distance_matrix,
@@ -133,6 +133,11 @@ class TestClassicalMds:
         assert info.value.partial.shape == (9, 2)
 
 
+def choose_pivots(graph, k, seed):
+    """The pivots pivot_mds takes, without their BFS rows."""
+    return _pivots_with_rows(graph, k, seed)[0]
+
+
 class TestChoosePivots:
     def test_full_cover(self):
         g = grid_graph(4, 4)
@@ -144,11 +149,11 @@ class TestChoosePivots:
         assert choose_pivots(g, 4, seed=7) == choose_pivots(g, 4, seed=7)
 
     def test_maxmin_with_tie_to_lowest_index(self):
-        # cycle of 4 starting from vertex 0: farthest is 2, then the
-        # remaining {1, 3} tie at distance 1 and the lower index wins
+        # seed 11 draws vertex 0 of a 4-cycle first: farthest is 2, then
+        # the remaining {1, 3} tie at distance 1 and the lower index wins
         g = cycle_graph(4)
-        pivots = choose_pivots(g, 3, seed=0, first=0)
-        assert pivots == [0, 2, 1]
+        assert int(np.random.default_rng(11).integers(4)) == 0
+        assert choose_pivots(g, 3, seed=11) == [0, 2, 1]
 
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stresslayout import (
-    Schedule,
     SgdConfig,
     all_pairs_shortest_paths,
     classical_mds,
-    default_schedule,
+    cycle_graph,
     grid_graph,
     pair_update,
     path_graph,
@@ -19,90 +19,95 @@ from stresslayout import (
     run_smacof,
     stress,
 )
-from stresslayout.sgd import _round, _rounds
+from stresslayout.sgd import ITERATIONS, _round, _rounds, step_widths
+from helpers import random_connected_graph
+
+# (graph, d_max) with d_min = 1 on every one
+GRAPHS = [
+    (path_graph(7), 6),
+    (cycle_graph(9), 4),
+    (grid_graph(10, 10), 18),
+    (random_connected_graph(30, 10, 2), None),
+]
 
 
-class TestSchedule:
-    def test_endpoints(self):
-        s = Schedule(t_max=10, eta_max=50.0, eta_min=0.5)
-        assert s.eta(0) == 50.0
-        assert s.eta(9) == pytest.approx(0.5, rel=1e-9)
+def distance_range(graph, d_max):
+    dist = all_pairs_shortest_paths(graph)
+    targets = dist.pairs[2]
+    if d_max is not None:
+        assert (targets.max(), targets.min()) == (d_max, 1)
+    return dist, float(targets.max()), float(targets.min())
 
-    def test_strictly_decreasing(self):
-        s = Schedule(t_max=20, eta_max=9.0, eta_min=0.1)
-        values = [s.eta(t) for t in range(20)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_closed_form_midpoint(self):
-        s = Schedule(t_max=3, eta_max=4.0, eta_min=1.0)
-        assert s.eta(1) == pytest.approx(4.0 * math.exp(-math.log(4.0) / 2.0), rel=1e-12)
-        assert s.eta(1) == pytest.approx(2.0, rel=1e-12)
+class TestSgdConfig:
+    def test_defaults(self):
+        assert SgdConfig() == SgdConfig(iterations=15, eps=0.01, seed=0)
 
-    def test_single_step_schedule(self):
-        s = Schedule(t_max=1, eta_max=3.0, eta_min=1.0)
-        assert s.decay == 0.0
-        assert s.eta(0) == 3.0
+    def test_exactly_three_fields(self):
+        assert [f.name for f in dataclasses.fields(SgdConfig)] == ["iterations", "eps", "seed"]
 
-    def test_out_of_range(self):
-        s = Schedule(t_max=3, eta_max=4.0, eta_min=1.0)
+    @pytest.mark.parametrize(
+        "kwargs", [{"iterations": 0}, {"iterations": -3}, {"eps": 0.0}, {"eps": 1.0},
+                   {"eps": 1.5}, {"eps": -0.1}]
+    )
+    def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            s.eta(3)
-        with pytest.raises(ValueError):
-            s.eta(-1)
+            SgdConfig(**kwargs)
 
-    @pytest.mark.parametrize("args", [(0, 1.0, 1.0), (5, 1.0, 2.0), (5, -1.0, -2.0)])
-    def test_invalid_construction(self, args):
-        with pytest.raises(ValueError):
-            Schedule(*args)
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SgdConfig().eps = 0.5
 
 
-class TestMu:
-    def test_cap_engages(self):
-        s = Schedule(t_max=1, eta_max=5.0, eta_min=5.0)
-        assert s.mu(0, 1.0) == 1.0
+class TestStepWidths:
+    """eta runs from d_max**2 to eps * d_min**2 on the graph's own distances."""
 
-    def test_below_cap(self):
-        s = Schedule(t_max=1, eta_max=5.0, eta_min=5.0)
-        assert s.mu(0, 10.0) == pytest.approx(0.05)
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    @pytest.mark.parametrize("eps", [0.01, 0.3])
+    def test_endpoints(self, graph, d_max, eps):
+        dist, high, low = distance_range(graph, d_max)
+        widths = step_widths(dist, SgdConfig(eps=eps))
+        assert len(widths) == ITERATIONS
+        assert widths[0] == high**2
+        assert widths[-1] == pytest.approx(eps * low**2, rel=1e-12)
 
-    def test_boundary(self):
-        s = Schedule(t_max=1, eta_max=1.0, eta_min=1.0)
-        assert s.mu(0, 1.0) == 1.0
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    def test_every_pair_starts_at_mu_1(self, graph, d_max):
+        dist, _, _ = distance_range(graph, d_max)
+        eta = step_widths(dist, SgdConfig())[0]
+        d = dist.pairs[2]
+        assert (np.minimum(1.0, eta / (d * d)) == 1.0).all()
 
-    def test_non_increasing_in_t(self):
-        s = Schedule(t_max=10, eta_max=100.0, eta_min=0.01)
-        for d in (1.0, 3.0, 9.0):
-            mus = [s.mu(t, d) for t in range(10)]
-            assert all(a >= b for a, b in zip(mus, mus[1:]))
-            assert all(m <= 1.0 for m in mus)
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    def test_tightest_pairs_end_at_eps(self, graph, d_max):
+        dist, _, low = distance_range(graph, d_max)
+        eta = step_widths(dist, SgdConfig(eps=0.05))[-1]
+        assert min(1.0, eta / low**2) == pytest.approx(0.05, rel=1e-12)
 
-    def test_array_matches_scalar(self):
-        s = Schedule(t_max=10, eta_max=100.0, eta_min=0.01)
-        d = np.array([0.5, 1.0, 3.0, 9.0, 20.0])
-        for t in range(10):
-            assert s.mu(t, d).tolist() == [s.mu(t, float(v)) for v in d]
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    def test_strictly_decreasing(self, graph, d_max):
+        dist, _, _ = distance_range(graph, d_max)
+        widths = step_widths(dist, SgdConfig(iterations=30))
+        assert all(a > b for a, b in zip(widths, widths[1:]))
 
-
-class TestDefaultSchedule:
-    def test_spans_distance_range(self):
-        dist = all_pairs_shortest_paths(grid_graph(10, 10))
-        s = default_schedule(dist)
-        assert s.t_max == 15
-        assert s.eta_max == 18.0**2
-        assert s.eta_min == pytest.approx(0.01 * 1.0**2)
-
-    def test_all_pairs_start_at_cap(self):
-        dist = all_pairs_shortest_paths(grid_graph(4, 4))
-        s = default_schedule(dist)
-        d = dist.matrix
-        assert all(
-            s.mu(0, d[i, j]) == 1.0 for i in range(16) for j in range(i + 1, 16)
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    def test_closed_form_midpoint(self, graph, d_max):
+        # with three steps the middle width is the geometric mean of the ends
+        dist, high, low = distance_range(graph, d_max)
+        widths = step_widths(dist, SgdConfig(iterations=3, eps=0.2))
+        assert widths[1] == pytest.approx(math.sqrt(high**2 * 0.2 * low**2), rel=1e-12)
+        assert widths[1] == pytest.approx(
+            high**2 * math.exp(-math.log(high**2 / (0.2 * low**2)) / 2.0), rel=1e-12
         )
 
-    def test_rejects_bad_eps(self):
-        dist = all_pairs_shortest_paths(path_graph(3))
-        with pytest.raises(ValueError):
-            default_schedule(dist, eps=1.5)
+    @pytest.mark.parametrize("graph,d_max", GRAPHS)
+    def test_single_step(self, graph, d_max):
+        dist, high, _ = distance_range(graph, d_max)
+        assert step_widths(dist, SgdConfig(iterations=1, eps=0.5)) == [high**2]
+
+    def test_fewer_than_two_vertices(self):
+        dist = all_pairs_shortest_paths(path_graph(1))
+        assert step_widths(dist, SgdConfig(iterations=4)) == [1.0] * 4
 
 
 class TestPairUpdate:
@@ -185,105 +190,110 @@ class TestMatchingRounds:
     @pytest.mark.parametrize("n", [4, 5])
     def test_coincident_start_even_and_odd(self, n):
         dist = all_pairs_shortest_paths(path_graph(n))
-        cfg = SgdConfig(default_schedule(dist), seed=3)
-        layout, trace = run_sgd(dist, np.zeros((n, 2)), cfg)
+        layout, trace = run_sgd(dist, np.zeros((n, 2)), SgdConfig(seed=3))
         assert np.isfinite(layout).all()
         assert all(math.isfinite(v) for v in trace)
         assert trace[-1] < trace[0]
 
 
-def one_iteration(x0, dist, schedule, seed):
-    layout, _ = run_sgd(dist, x0, SgdConfig(schedule, seed=seed), iterations=1)
+def one_iteration(x0, dist, seed, iterations=ITERATIONS):
+    """The first step of an iterations-long schedule."""
+    layout, _ = run_sgd(dist, x0, SgdConfig(iterations, seed=seed), steps=1)
     return layout
 
 
 class TestSgdIteration:
     def test_single_pair_realizes_distance(self):
         dist = all_pairs_shortest_paths(path_graph(2))
-        sched = default_schedule(dist, t_max=1)
-        x = one_iteration([[0.0, 0.0], [5.0, 0.0]], dist, sched, 0)
+        x = one_iteration([[0.0, 0.0], [5.0, 0.0]], dist, 0, iterations=1)
         assert math.hypot(*(x[0] - x[1])) == pytest.approx(1.0, rel=1e-12)
 
-    def test_matches_pair_update_for_n2(self):
-        dist = all_pairs_shortest_paths(path_graph(2))
-        sched = Schedule(t_max=1, eta_max=0.25, eta_min=0.25)
-        x0 = np.array([[0.0, 0.0], [3.0, 1.0]])
-        got = one_iteration(x0, dist, sched, 1)
-        p, q = pair_update(x0[0], x0[1], 1.0, sched.mu(0, 1.0))
-        assert np.allclose(got, np.vstack([p, q]), atol=1e-15)
+    def test_matches_sequential_pair_updates(self):
+        # oracle: the documented random stream, rounds in drawn order, and
+        # pair_update one pair at a time with mu = min(1, eta / d**2)
+        n = 9
+        dist = all_pairs_shortest_paths(grid_graph(3, 3))
+        cfg = SgdConfig(iterations=5, eps=0.1, seed=4)
+        x0 = random_init(n, 4)
+        got, _ = run_sgd(dist, x0, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        slot_a, slot_b = _rounds(n)
+        x = np.array(x0, dtype=float)
+        for eta in step_widths(dist, cfg):
+            vertex = rng.permutation(n)
+            for row in rng.permutation(len(slot_a)):
+                for i, j in zip(vertex[slot_a[row]], vertex[slot_b[row]]):
+                    d = dist.matrix[i, j]
+                    x[i], x[j] = pair_update(x[i], x[j], d, min(1.0, eta / (d * d)))
+        assert np.abs(got - x).max() <= 1e-12
 
     def test_deterministic_per_seed(self):
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
-        sched = default_schedule(dist)
         x0 = random_init(9, 5)
-        a = one_iteration(x0, dist, sched, 11)
-        b = one_iteration(x0, dist, sched, 11)
+        a = one_iteration(x0, dist, 11)
+        b = one_iteration(x0, dist, 11)
         assert np.array_equal(a, b)
 
     def test_path3_stress_decreases_all_seeds(self):
         dist = all_pairs_shortest_paths(path_graph(3))
-        sched = default_schedule(dist, t_max=1)  # every mu at the cap
         for seed in range(10):
             x0 = random_init(3, seed)
             before = stress(x0, dist)
-            x1 = one_iteration(x0, dist, sched, seed)
+            x1 = one_iteration(x0, dist, seed)  # every mu at the cap
             assert stress(x1, dist) < before
 
 
 class TestRunSgd:
     def test_single_edge_exact_after_one_iteration(self):
         dist = all_pairs_shortest_paths(path_graph(2))
-        cfg = SgdConfig(Schedule(t_max=1, eta_max=4.0, eta_min=4.0), seed=3)
-        layout, trace = run_sgd(dist, [[0.0, 0.0], [0.5, 0.5]], cfg)
+        layout, trace = run_sgd(dist, [[0.0, 0.0], [0.5, 0.5]], SgdConfig(1, seed=3))
         # distance is realized to 1e-12 relative, so stress is its square
         assert trace[-1] <= 1e-24
         assert len(trace) == 2
 
     def test_trace_shape_and_determinism(self):
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
-        cfg = SgdConfig(default_schedule(dist), seed=17)
+        cfg = SgdConfig(seed=17)
         x0 = random_init(9, 17)
         layout1, trace1 = run_sgd(dist, x0, cfg)
         layout2, trace2 = run_sgd(dist, x0, cfg)
-        assert len(trace1) == cfg.schedule.t_max + 1
+        assert len(trace1) == cfg.iterations + 1
         assert trace1 == trace2
         assert np.array_equal(layout1, layout2)
 
     def test_coincident_initial_points_are_jittered(self):
         dist = all_pairs_shortest_paths(path_graph(3))
-        cfg = SgdConfig(default_schedule(dist), seed=0)
-        layout, trace = run_sgd(dist, [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], cfg)
+        layout, trace = run_sgd(dist, [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], SgdConfig())
         assert np.isfinite(layout).all()
         assert all(math.isfinite(v) for v in trace)
         assert trace[-1] < trace[0]
 
     def test_truncated_run_is_prefix(self):
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
-        cfg = SgdConfig(default_schedule(dist), seed=9)
+        cfg = SgdConfig(seed=9)
         x0 = random_init(9, 9)
         full_layouts = {}
         run_sgd(dist, x0, cfg, callback=lambda t, x: full_layouts.setdefault(t, x))
-        partial, trace = run_sgd(dist, x0, cfg, iterations=4)
+        partial, trace = run_sgd(dist, x0, cfg, steps=4)
         assert np.array_equal(partial, full_layouts[4])
         assert len(trace) == 5
 
     def test_callback_numbering(self):
         dist = all_pairs_shortest_paths(path_graph(4))
-        cfg = SgdConfig(default_schedule(dist, t_max=5), seed=1)
         seen = []
-        run_sgd(dist, random_init(4, 1), cfg, callback=lambda t, x: seen.append(t))
+        run_sgd(dist, random_init(4, 1), SgdConfig(5, seed=1),
+                callback=lambda t, x: seen.append(t))
         assert seen == [1, 2, 3, 4, 5]
 
-    def test_iterations_out_of_range(self):
+    @pytest.mark.parametrize("steps", [-1, 16, 99])
+    def test_steps_out_of_range(self, steps):
         dist = all_pairs_shortest_paths(path_graph(3))
-        cfg = SgdConfig(default_schedule(dist), seed=0)
-        with pytest.raises(ValueError):
-            run_sgd(dist, random_init(3, 0), cfg, iterations=99)
+        with pytest.raises(ValueError, match="steps"):
+            run_sgd(dist, random_init(3, 0), SgdConfig(), steps=steps)
 
     def test_grid_final_stress_near_reference(self):
         # reference: majorization from the classical-MDS layout, run to convergence
         dist = all_pairs_shortest_paths(grid_graph(10, 10))
         _, ref_trace = run_smacof(dist, classical_mds(dist))
-        cfg = SgdConfig(default_schedule(dist), seed=0)
-        _, trace = run_sgd(dist, random_init(100, 0), cfg)
+        _, trace = run_sgd(dist, random_init(100, 0), SgdConfig())
         assert abs(trace[-1] / ref_trace[-1] - 1.0) <= 0.02

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stresslayout import (
     all_pairs_shortest_paths,
-    center,
     cycle_graph,
     path_graph,
     procrustes_error,
@@ -119,18 +118,6 @@ class TestGradient:
             step *= 0.5
         else:
             pytest.fail("no decrease along the negative gradient")
-
-
-class TestCenter:
-    def test_two_points(self):
-        assert np.allclose(center([[1, 1], [3, 1]]), [[-1, 0], [1, 0]])
-
-    def test_already_centered(self):
-        layout = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(center(layout), layout)
-
-    def test_single_point(self):
-        assert np.allclose(center([[5, 5]]), [[0, 0]])
 
 
 class TestProcrustes:
