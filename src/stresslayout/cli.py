@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SGD iterations before majorization, for --alg hybrid, "
                         f"in [0, --iters] (default: {SGD_K})")
     layout.add_argument("--snapshots", type=_int_list(1), default=None,
-                        help="comma-separated iteration numbers (from 1) to snapshot as SVG")
+                        help="comma-separated iteration numbers (from 1, at most --iters; "
+                        "for --alg hybrid --sgd-k plus the sweep cap) to snapshot as SVG")
     layout.add_argument("--out", default=None, help="output SVG path")
     layout.add_argument("--trace", default=None, help="output trace CSV path")
     layout.set_defaults(func=cmd_layout)
@@ -245,11 +246,16 @@ def cmd_layout(args) -> int:
         raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
     if args.alg == "hybrid" and not 0 <= sgd_k <= iters:
         raise ValueError(f"--sgd-k must be in [0, {iters}] (--iters), got {sgd_k}")
+    snapshots = set(args.snapshots or ())
+    # the last iteration a run can reach: hybrid majorization runs to its own sweep cap
+    last = sgd_k + MAX_SWEEPS if args.alg == "hybrid" else iters
+    if snapshots and max(snapshots) > last:
+        raise ValueError(f"--snapshots: each number must be at most {last}, the last "
+                         f"iteration the run can reach, got {max(snapshots)}")
     name, graph = _load_connected(args.input, args.format, args.strict)
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
     trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")
-    snapshots = set(args.snapshots or ())
 
     def snapshot(t, coords):
         if t in snapshots:
@@ -277,6 +283,10 @@ def cmd_layout(args) -> int:
     )
     render_svg(layout, graph, out_path)
     export_csv([trace], trace_path)
+    unreached = sorted(t for t in snapshots if t >= len(values))
+    if unreached:
+        print(f"warning: --snapshots {','.join(map(str, unreached))} not rendered: "
+              f"the run stopped after {len(values) - 1} iterations", file=sys.stderr)
     print(f"{name}: final stress {trace.final!r} after {len(values) - 1} iterations")
     print(f"wrote {out_path} and {trace_path}")
     return 0

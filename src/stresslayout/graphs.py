@@ -68,8 +68,8 @@ class Graph:
 class DistanceMatrix:
     """Symmetric matrix of pairwise target distances, zero on the diagonal.
 
-    Also exposes the stress weights w(i,j) = d(i,j)**-2 used throughout
-    and the table of unordered pairs.  The underlying arrays are
+    Also exposes the row-normalized stress weights that majorization
+    reads and the table of unordered pairs.  The underlying arrays are
     read-only; instances are immutable.
     """
 
@@ -100,12 +100,21 @@ class DistanceMatrix:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Full weight matrix d**-2 with zero diagonal (read-only)."""
-        off = ~np.eye(self.n, dtype=bool)
-        if (self._d[off] == 0.0).any():
+        """Row-normalized stress weights, read-only, zero on the diagonal.
+
+        Entry (i, j) is d_ij**-2 / sum_k d_ik**-2, so each row sums to 1
+        (for n >= 2); majorization places vertex i at the weighted average
+        its row describes.
+        """
+        n = self.n
+        if np.count_nonzero(self._d) != n * n - n:
             raise ValueError("zero distance between distinct vertices")
-        w = np.zeros_like(self._d)
-        w[off] = self._d[off] ** -2.0
+        w = np.square(self._d)
+        np.fill_diagonal(w, 1.0)
+        np.divide(1.0, w, out=w)
+        np.fill_diagonal(w, 0.0)
+        if n > 1:
+            w /= w.sum(axis=1, keepdims=True)
         w.setflags(write=False)
         return w
 

@@ -6,6 +6,18 @@ weights d_ij**-2.  That is the minimizer of the convex majorizer of the
 single-vertex stress, so a full sweep can never increase stress.  Sweeps
 run in fixed index order, each vertex seeing already-updated positions,
 which keeps the method deterministic without any seed.
+
+The sweep works on complex coordinates z = x + iy, a view of the (n, 2)
+layout.  With the row-normalized weights wn = DistanceMatrix.weights
+(each row sums to 1, the one cached n**2 array besides the distances),
+the update of vertex i is two dot products:
+
+    z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
+
+The coefficient row is formed per vertex, not cached.  This rounds
+differently from the earlier (n, 2) weighted average, so SMACOF and hybrid
+layouts and stress traces (and their CSV bytes) changed once in their last
+bits when the sweep took this form.
 """
 
 from __future__ import annotations
@@ -36,10 +48,26 @@ class SmacofConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def _reposition(x, target_row, weight_row, diff, lengths) -> np.ndarray:
-    """Weighted average of per-neighbor target positions for one vertex."""
-    targets = x + target_row[:, None] * (diff / lengths[:, None])
-    return (weight_row[:, None] * targets).sum(axis=0) / weight_row.sum()
+def _place(z, weight_row, target_row, diff, lengths) -> complex:
+    """Weighted average of one vertex's per-neighbor targets (weights sum to 1).
+
+    A zero length (a coincident neighbor) makes the result NaN: its
+    coefficient is infinite and its offset zero.
+    """
+    return weight_row @ z + (weight_row * target_row / lengths) @ diff
+
+
+def _offsets(i: int, z):
+    """Offsets z_i - z and their lengths, with lengths[i] set to 1."""
+    diff = z[i] - z
+    lengths = np.abs(diff)
+    lengths[i] = 1.0
+    return diff, lengths
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The rows of a C-ordered (n, 2) layout as n complex numbers (a view)."""
+    return x.view(np.complex128).reshape(-1)
 
 
 def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
@@ -52,12 +80,12 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     x = as_layout(coords, dist.n)
     if dist.n < 2:
         raise ValueError("vertex update needs at least two vertices")
-    diff = x[i] - x
-    lengths = np.hypot(diff[:, 0], diff[:, 1])
-    lengths[i] = 1.0
-    if (lengths == 0.0).any():
+    z = _complex(x)
+    diff, lengths = _offsets(i, z)
+    if not lengths.all():
         raise ValueError(f"vertex {i} coincides with another vertex")
-    return _reposition(x, dist.matrix[i], dist.weights[i], diff, lengths)
+    zi = _place(z, dist.weights[i], dist.matrix[i], diff, lengths)
+    return np.array([zi.real, zi.imag])
 
 
 def smacof_iteration(
@@ -67,33 +95,33 @@ def smacof_iteration(
 ) -> np.ndarray:
     """One majorization sweep: update vertices 0..n-1 sequentially.
 
-    Stress never increases over a sweep.  Coincident pairs are nudged
-    apart by JITTER_EPSILON (both points, opposite random directions)
-    before the affected update; the jitter generator is fixed-seeded when
-    not supplied.
+    Takes and returns an (n, 2) layout.  Stress never increases over a
+    sweep.  Coincident pairs are nudged apart by JITTER_EPSILON (both
+    points, opposite random directions, one angle per pair in index
+    order) before the affected update; the jitter generator is
+    fixed-seeded when not supplied.
     """
-    x = as_layout(coords, dist.n).copy()
+    x = as_layout(coords, dist.n)
     if dist.n < 2:
         raise ValueError("need at least two vertices")
     if rng is None:
         rng = np.random.default_rng(_JITTER_SEED)
+    z = _complex(x)
     d = dist.matrix
-    w = dist.weights
-    for i in range(dist.n):
-        diff = x[i] - x
-        lengths = np.hypot(diff[:, 0], diff[:, 1])
-        lengths[i] = 1.0
-        coincident = np.nonzero(lengths == 0.0)[0]
-        if coincident.size:
-            for j in coincident:
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                nudge = JITTER_EPSILON * np.array([math.cos(angle), math.sin(angle)])
-                x[i] += nudge
-                x[j] -= nudge
-            diff = x[i] - x
-            lengths = np.hypot(diff[:, 0], diff[:, 1])
-            lengths[i] = 1.0
-        x[i] = _reposition(x, d[i], w[i], diff, lengths)
+    wn = dist.weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(dist.n):
+            diff, lengths = _offsets(i, z)
+            zi = _place(z, wn[i], d[i], diff, lengths)
+            if zi != zi:  # NaN: vertex i coincides with another vertex
+                for j in np.nonzero(lengths == 0.0)[0]:
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    nudge = JITTER_EPSILON * complex(math.cos(angle), math.sin(angle))
+                    z[i] += nudge
+                    z[j] -= nudge
+                diff, lengths = _offsets(i, z)
+                zi = _place(z, wn[i], d[i], diff, lengths)
+            z[i] = zi
     return x
 
 
@@ -110,7 +138,7 @@ def run_smacof(
     trace[0] the initial stress; the trace is non-increasing from index 1.
     ``callback(t, layout)`` fires after each sweep with 1-based t.
     """
-    x = as_layout(init, dist.n).copy()
+    x = as_layout(init, dist.n)
     rng = np.random.default_rng(_JITTER_SEED)
     previous = stress(x, dist)
     trace = [previous]

@@ -21,8 +21,8 @@ JITTER_EPSILON = 1e-6
 
 
 def as_layout(coords, n: int | None = None) -> np.ndarray:
-    """Validate coordinates and return them as an (n, 2) float64 array."""
-    x = np.array(coords, dtype=float)
+    """Validate coordinates and return them as a new C-ordered (n, 2) float64 array."""
+    x = np.array(coords, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"layout must have shape (n, 2), got {x.shape}")
     if n is not None and x.shape[0] != n:
@@ -43,7 +43,7 @@ def stress(coords, dist: DistanceMatrix) -> float:
     xs, ys = x.T
     lengths = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
     terms = ((lengths - target) / target) ** 2
-    return math.fsum(terms.tolist())
+    return math.fsum(memoryview(terms))
 
 
 def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:

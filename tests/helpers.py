@@ -3,7 +3,8 @@
 Every oracle here deliberately avoids the code paths it is used to check:
 Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
 iteration, finite differences vs the analytic gradient, rotation grid
-search vs the closed-form similarity fit.
+search vs the closed-form similarity fit, and an (n, 2) weighted-average
+majorization sweep vs the complex-coordinate one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from stresslayout import DistanceMatrix, Graph, stress
+from stresslayout.stress import JITTER_EPSILON
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -110,3 +112,38 @@ def euclidean_distance_matrix(points) -> DistanceMatrix:
     p = np.asarray(points, dtype=float)
     diff = p[:, None, :] - p[None, :, :]
     return DistanceMatrix(np.hypot(diff[..., 0], diff[..., 1]))
+
+
+def reference_sweep(coords, dist: DistanceMatrix, rng: np.random.Generator) -> np.ndarray:
+    """One localized majorization sweep on (n, 2) real coordinates.
+
+    Vertex i moves to sum_j w_ij (x_j + d_ij (x_i - x_j) / |x_i - x_j|)
+    / sum_j w_ij with w_ij = d_ij**-2, computed here from the distances
+    alone.  Coincident pairs are jittered as the library documents: one
+    uniform angle per pair from rng, in index order, before the update.
+    """
+    x = np.array(coords, dtype=float)
+    d = dist.matrix
+    off = ~np.eye(dist.n, dtype=bool)
+    w = np.zeros_like(d)
+    w[off] = d[off] ** -2.0
+
+    def offsets(i):
+        diff = x[i] - x
+        lengths = np.hypot(diff[:, 0], diff[:, 1])
+        lengths[i] = 1.0
+        return diff, lengths
+
+    for i in range(dist.n):
+        diff, lengths = offsets(i)
+        coincident = np.nonzero(lengths == 0.0)[0]
+        if coincident.size:
+            for j in coincident:
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                nudge = JITTER_EPSILON * np.array([math.cos(angle), math.sin(angle)])
+                x[i] += nudge
+                x[j] -= nudge
+            diff, lengths = offsets(i)
+        targets = x + d[i][:, None] * (diff / lengths[:, None])
+        x[i] = (w[i][:, None] * targets).sum(axis=0) / w[i].sum()
+    return x

@@ -85,6 +85,36 @@ class TestLayoutCommand:
         assert "--snapshots" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--iters", "5", "--snapshots", "3,99"],
+        ["--alg", "smacof", "--iters", "5", "--snapshots", "6"],
+        ["--alg", "hybrid", "--sgd-k", "2", "--snapshots", "1,503"],
+    ])
+    def test_unreachable_snapshots_fail_before_loading(self, workdir, capsys, no_loading, argv):
+        code = main(["layout", "grid:3,3", *argv])
+        assert code == 1
+        assert "--snapshots" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_snapshots_not_reached_are_reported(self, workdir, capsys):
+        # path:4 from classical MDS is exact: majorization stops after one sweep
+        code = main(["layout", "path:4", "--alg", "smacof", "--init", "cmds",
+                     "--snapshots", "1,2,400", "--out", "g.svg", "--trace", "g.csv"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "--snapshots" in line] == [
+            "warning: --snapshots 2,400 not rendered: the run stopped after 1 iterations"
+        ]
+        assert sorted(p.name for p in workdir.iterdir()) == ["g.csv", "g.iter1.svg", "g.svg"]
+
+    def test_hybrid_snapshots_reach_past_iters(self, workdir, capsys):
+        # the majorization phase continues the iteration count past --iters
+        code = main(["layout", "cycle:8", "--alg", "hybrid", "--sgd-k", "2", "--iters", "5",
+                     "--snapshots", "6", "--out", "h.svg", "--trace", "h.csv"])
+        assert code == 0
+        assert (workdir / "h.iter6.svg").exists()
+        assert "--snapshots" not in capsys.readouterr().err
+
     def test_hybrid_algorithm(self, workdir):
         code = main(["layout", "cycle:8", "--alg", "hybrid", "--sgd-k", "2",
                      "--out", "h.svg", "--trace", "h.csv"])

@@ -19,7 +19,8 @@ from stresslayout import (
     stress,
     vertex_update,
 )
-from helpers import random_connected_graph
+from stresslayout.smacof import _JITTER_SEED, MAX_SWEEPS, REL_TOLERANCE
+from helpers import random_connected_graph, reference_sweep
 
 P2_DIST = all_pairs_shortest_paths(path_graph(2))
 
@@ -73,6 +74,14 @@ class TestSmacofIteration:
             manual[i] = vertex_update(i, manual, dist)
         assert np.array_equal(smacof_iteration(layout, dist), manual)
 
+    def test_column_major_layout_accepted(self):
+        # the sweep views rows as complex numbers, which needs C order
+        dist = all_pairs_shortest_paths(grid_graph(3, 3))
+        layout = random_init(9, 4)
+        fortran = np.asfortranarray(layout)
+        assert np.array_equal(smacof_iteration(fortran, dist), smacof_iteration(layout, dist))
+        assert np.array_equal(vertex_update(4, fortran, dist), vertex_update(4, layout, dist))
+
     def test_coincident_points_jittered(self):
         dist = all_pairs_shortest_paths(path_graph(3))
         after = smacof_iteration([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], dist)
@@ -91,6 +100,59 @@ class TestSmacofIteration:
         before = stress(layout, dist)
         after = stress(smacof_iteration(layout, dist), dist)
         assert after <= before * (1.0 + 1e-9) + 1e-12
+
+
+def _reference_run_sweeps(dist, init) -> int:
+    """Sweeps the run_smacof stop rule needs when every sweep is reference_sweep."""
+    rng = np.random.default_rng(_JITTER_SEED)
+    x = np.array(init, dtype=float)
+    previous = stress(x, dist)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        x = reference_sweep(x, dist, rng)
+        current = stress(x, dist)
+        if previous <= 0.0 or (previous - current) / previous < REL_TOLERANCE:
+            break
+        previous = current
+    return sweep
+
+
+class TestReferenceEquivalence:
+    """The complex-coordinate sweep against the (n, 2) weighted-average oracle."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(12), cycle_graph(15), grid_graph(4, 5), random_connected_graph(20, 6, 3)],
+        ids=["path", "cycle", "grid", "random"],
+    )
+    def test_matches_reference_sweep(self, graph):
+        dist = all_pairs_shortest_paths(graph)
+        for seed in range(3):
+            layout = random_init(graph.n, seed) * (1.0 + 4.0 * seed)
+            for _ in range(3):
+                expected = reference_sweep(layout, dist, np.random.default_rng(_JITTER_SEED))
+                layout = smacof_iteration(layout, dist)
+                assert np.abs(layout - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("rows,cols", [(10, 10), (20, 20)])
+    def test_same_sweep_count_from_cmds(self, rows, cols):
+        dist = all_pairs_shortest_paths(grid_graph(rows, cols))
+        init = classical_mds(dist)
+        _, trace = run_smacof(dist, init)
+        assert len(trace) - 1 == _reference_run_sweeps(dist, init)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_coincident_start_gives_reference_nudges(self, n):
+        dist = all_pairs_shortest_paths(path_graph(n))
+        start = np.full((n, 2), 0.25)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        after = smacof_iteration(start, dist, ours)
+        expected = reference_sweep(start, dist, theirs)
+        assert np.abs(after - expected).max() <= 1e-12
+        # same number of draws: vertex 0 nudges each of the n - 1 others once
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        replay = np.random.default_rng(7)
+        replay.uniform(size=n - 1)
+        assert ours.bit_generator.state == replay.bit_generator.state
 
 
 class TestRunSmacof:
