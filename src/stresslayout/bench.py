@@ -94,12 +94,13 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
         SgdConfig(self.sgd_iterations, self.sgd_eps)  # raises on an out-of-range value
-        for name in self.algorithms:
-            if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
-        for name in self.initializers:
-            if name not in INITIALIZERS:
-                raise ValueError(f"unknown initializer {name!r}; expected one of {INITIALIZERS}")
+        for kind, flag, names, known in (("algorithm", "--algs", self.algorithms, ALGORITHMS),
+                                         ("initializer", "--inits", self.initializers, INITIALIZERS)):
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}; expected one of {known}")
+            if len(set(names)) < len(names):  # a repeated cell would run twice under one key
+                raise ValueError(f"{flag}: each {kind} may be given once, got {','.join(names)}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ def _write_rows(handle, header, rows) -> None:
 
 
 def parse_traces_csv(source) -> list[StressTrace]:
-    """Inverse of export_csv for trace files; phase boundaries are not stored."""
+    """Inverse of export_csv for trace files (one run per key); phase boundaries are not stored."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -280,9 +281,12 @@ def parse_traces_csv(source) -> list[StressTrace]:
     if header != TRACE_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
     grouped: dict[tuple[str, str, str, int], list[float]] = {}
-    for graph, algorithm, initializer, seed, _, value in reader:
-        key = (graph, algorithm, initializer, int(seed))
-        grouped.setdefault(key, []).append(float(value))
+    for graph, algorithm, initializer, seed, iteration, value in reader:
+        values = grouped.setdefault((graph, algorithm, initializer, int(seed)), [])
+        if int(iteration) != len(values):
+            raise ValueError(f"{graph}/{algorithm}/{initializer}/s{seed}: iteration {iteration} "
+                             f"where {len(values)} should follow; one run per key")
+        values.append(float(value))
     return [
         StressTrace(
             graph=graph,

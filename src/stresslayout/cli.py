@@ -305,6 +305,8 @@ def cmd_hybrid(args) -> int:
     for k in args.ks:
         if k > args.iters:
             raise ValueError(f"--ks: each k must be in [0, {args.iters}] (--iters), got {k}")
+    if len(set(args.ks)) < len(args.ks):
+        raise ValueError(f"--ks: each k may be given once, got {','.join(map(str, args.ks))}")
     config = _experiment_config(args, [args.input], ("smacof",), ("cmds", "random"))
     return _write_report(run_hybrid(config, args.ks), args)
 

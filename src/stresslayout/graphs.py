@@ -225,24 +225,8 @@ def parse_edge_list(source) -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, in order of smallest member."""
-    seen = [False] * g.n
-    components: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        component = [start]
-        seen[start] = True
-        head = 0
-        while head < len(component):
-            v = component[head]
-            head += 1
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    component.append(u)
-        component.sort()
-        components.append(component)
-    return components
+    hops = [-1] * g.n
+    return [sorted(_bfs(g, s, hops)) for s in range(g.n) if hops[s] < 0]
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -251,31 +235,38 @@ def largest_connected_component(g: Graph) -> Graph:
     Ties between equal-sized components go to the one containing the
     smallest original vertex id.  Reindexing preserves ascending id order.
     """
-    best: list[int] = []
-    for component in connected_components(g):
-        if len(component) > len(best):  # first wins ties: smallest min id
-            best = component
+    best = max(connected_components(g), key=len, default=[])  # first wins ties
     remap = {v: k for k, v in enumerate(best)}
     kept = set(best)
     edges = [(remap[i], remap[j]) for i, j in g.edges if i in kept and j in kept]
     return Graph.from_edges(len(best), edges)
 
 
-def bfs_hops(g: Graph, source: int) -> list[int]:
-    """Hop counts from source to every vertex; -1 marks unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        dv = dist[v]
+def _bfs(g: Graph, source: int, hops: list[int]) -> list[int]:
+    """Breadth-first search from source through vertices with hops[v] < 0.
+
+    Writes each reached vertex's hop count from source into hops and
+    returns the reached vertices in visit order.
+    """
+    hops[source] = 0
+    order = [source]
+    for v in order:  # the queue: vertices appended here are visited in turn
+        dv = hops[v] + 1
         for u in g.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dv + 1
-                queue.append(u)
-    return dist
+            if hops[u] < 0:
+                hops[u] = dv
+                order.append(u)
+    return order
+
+
+def bfs_hops(g: Graph, source: int) -> list[int]:
+    """Hop counts from source to every vertex; -1 marks unreachable.
+
+    Every call is a distance query: connected_components runs _bfs itself.
+    """
+    hops = [-1] * g.n
+    _bfs(g, source, hops)
+    return hops
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix
-from .stress import JITTER_EPSILON, as_layout, stress
-
-TWO_PI = 2.0 * math.pi
+from .stress import as_layout, points, separate, stress
 
 # Default schedule: iteration count, and the final step as a fraction of a
 # full correction for the tightest pairs.
@@ -112,16 +110,13 @@ def _round(z, i, j, d, mu, rng):
 
     No vertex occurs twice in i and j together, so the result equals
     pair_update on each pair in turn, in any order.  Coincident pairs are
-    first nudged apart by JITTER_EPSILON in a random direction (both
-    endpoints, opposite ways, so the midpoint is kept).
+    first nudged apart by stress.separate, one angle per pair from rng.
     """
     delta = z[i] - z[j]
     length = np.abs(delta)
     coincident = length <= 0.0
     if coincident.any():
-        nudge = JITTER_EPSILON * np.exp(1j * rng.uniform(0.0, TWO_PI, np.count_nonzero(coincident)))
-        z[i[coincident]] += nudge
-        z[j[coincident]] -= nudge
+        separate(z, i[coincident], j[coincident], rng)
         delta = z[i] - z[j]
         length = np.abs(delta)
     move = (0.5 * mu * (length - d) / length) * delta
@@ -146,7 +141,8 @@ def run_sgd(
     every iteration, in this order: a permutation of the n vertices over
     the round-robin slots, a permutation of the rounds, then one jitter
     angle per coincident pair as the rounds meet them.
-    ``callback(t, layout)`` fires after each iteration with 1-based t.
+    The rounds move a copy of init in place through stress.points, and
+    ``callback(t, layout)`` gets a copy of it after each 1-based iteration t.
     """
     x = as_layout(init, dist.n)
     if steps is None:
@@ -156,8 +152,7 @@ def run_sgd(
     widths = step_widths(dist, config)
     rng = np.random.default_rng(config.seed)
     slot_a, slot_b = _rounds(dist.n)
-    # points as complex numbers x + iy: one gather and one scatter per endpoint
-    z = x[:, 0] + 1j * x[:, 1]
+    z = points(x)
     trace = [stress(x, dist)]
     for t, eta in enumerate(widths[:steps]):
         vertex = rng.permutation(dist.n)
@@ -168,8 +163,7 @@ def run_sgd(
         mu = np.minimum(1.0, eta / (d * d))
         for i, j, d_round, mu_round in zip(a, b, d, mu):
             _round(z, i, j, d_round, mu_round, rng)
-        current = np.column_stack((z.real, z.imag))
-        trace.append(stress(current, dist))
+        trace.append(stress(x, dist))
         if callback is not None:
-            callback(t + 1, current)
-    return np.column_stack((z.real, z.imag)), trace
+            callback(t + 1, x.copy())
+    return x, trace

@@ -7,28 +7,24 @@ single-vertex stress, so a full sweep can never increase stress.  Sweeps
 run in fixed index order, each vertex seeing already-updated positions,
 which keeps the method deterministic without any seed.
 
-The sweep works on complex coordinates z = x + iy, a view of the (n, 2)
-layout.  With the row-normalized weights wn = DistanceMatrix.weights
-(each row sums to 1, the one cached n**2 array besides the distances),
-the update of vertex i is two dot products:
+The sweep works on complex coordinates z = x + iy, the view stress.points
+of the (n, 2) layout.  With the row-normalized weights wn =
+DistanceMatrix.weights (each row sums to 1, the one cached n**2 array
+besides the distances), the update of vertex i is two dot products:
 
     z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
 
-The coefficient row is formed per vertex, not cached.  This rounds
-differently from the earlier (n, 2) weighted average, so SMACOF and hybrid
-layouts and stress traces (and their CSV bytes) changed once in their last
-bits when the sweep took this form.
+The coefficient row is formed per vertex, not cached.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import DistanceMatrix
-from .stress import JITTER_EPSILON, as_layout, stress
+from .stress import as_layout, points, separate, stress
 
 # Auxiliary generator seed for the (rare) coincident-point jitter; fixed so
 # runs stay deterministic.
@@ -65,11 +61,6 @@ def _offsets(i: int, z):
     return diff, lengths
 
 
-def _complex(x: np.ndarray) -> np.ndarray:
-    """The rows of a C-ordered (n, 2) layout as n complex numbers (a view)."""
-    return x.view(np.complex128).reshape(-1)
-
-
 def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     """Optimal reposition of vertex i with all other vertices held fixed.
 
@@ -80,7 +71,7 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     x = as_layout(coords, dist.n)
     if dist.n < 2:
         raise ValueError("vertex update needs at least two vertices")
-    z = _complex(x)
+    z = points(x)
     diff, lengths = _offsets(i, z)
     if not lengths.all():
         raise ValueError(f"vertex {i} coincides with another vertex")
@@ -95,18 +86,18 @@ def smacof_iteration(
 ) -> np.ndarray:
     """One majorization sweep: update vertices 0..n-1 sequentially.
 
-    Takes and returns an (n, 2) layout.  Stress never increases over a
-    sweep.  Coincident pairs are nudged apart by JITTER_EPSILON (both
-    points, opposite random directions, one angle per pair in index
-    order) before the affected update; the jitter generator is
-    fixed-seeded when not supplied.
+    Takes and returns an (n, 2) layout, updated through its complex view
+    stress.points.  Stress never increases over a sweep.  When vertex i
+    coincides with k others, stress.separate nudges the k pairs apart (one
+    angle per pair, in index order) before its update; the jitter
+    generator is fixed-seeded when not supplied.
     """
     x = as_layout(coords, dist.n)
     if dist.n < 2:
         raise ValueError("need at least two vertices")
     if rng is None:
         rng = np.random.default_rng(_JITTER_SEED)
-    z = _complex(x)
+    z = points(x)
     d = dist.matrix
     wn = dist.weights
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,11 +105,8 @@ def smacof_iteration(
             diff, lengths = _offsets(i, z)
             zi = _place(z, wn[i], d[i], diff, lengths)
             if zi != zi:  # NaN: vertex i coincides with another vertex
-                for j in np.nonzero(lengths == 0.0)[0]:
-                    angle = rng.uniform(0.0, 2.0 * math.pi)
-                    nudge = JITTER_EPSILON * complex(math.cos(angle), math.sin(angle))
-                    z[i] += nudge
-                    z[j] -= nudge
+                j = np.nonzero(lengths == 0.0)[0]
+                separate(z, np.full(len(j), i), j, rng)
                 diff, lengths = _offsets(i, z)
                 zi = _place(z, wn[i], d[i], diff, lengths)
             z[i] = zi

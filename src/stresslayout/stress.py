@@ -1,8 +1,10 @@
 """The stress objective over 2D layouts, its gradient, and layout utilities.
 
-A layout is a plain (n, 2) float array.  Stress sums, over unordered
-vertex pairs, the squared deviation of layout distance from target
-distance, weighted by the inverse squared target:
+A layout is a plain (n, 2) float array, which both optimizers move as n
+complex numbers x + iy (points) and whose coincident points they nudge
+apart (separate).  Stress sums, over unordered vertex pairs, the squared
+deviation of layout distance from target distance, weighted by the
+inverse squared target:
 
     sum_{i<j} (|x_i - x_j| - d_ij)**2 / d_ij**2
 """
@@ -32,6 +34,22 @@ def as_layout(coords, n: int | None = None) -> np.ndarray:
     return x
 
 
+def points(x: np.ndarray) -> np.ndarray:
+    """The rows of a C-ordered (n, 2) layout as n complex numbers x + iy (a view)."""
+    return x.view(np.complex128).reshape(-1)
+
+
+def separate(z, i, j, rng: np.random.Generator) -> None:
+    """Nudge the points of each pair (i[k], j[k]) apart by JITTER_EPSILON, in place.
+
+    z[i[k]] moves along the pair's uniform angle from rng and z[j[k]] the
+    opposite way; a repeated index takes its nudges in pair order.
+    """
+    nudge = JITTER_EPSILON * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(j)))
+    np.add.at(z, i, nudge)
+    np.subtract.at(z, j, nudge)
+
+
 def stress(coords, dist: DistanceMatrix) -> float:
     """Weighted squared deviation of layout distances from targets.
 
@@ -49,20 +67,21 @@ def stress(coords, dist: DistanceMatrix) -> float:
 def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
     """Analytic gradient of stress, one (dx, dy) row per vertex.
 
+    Sums each pair's pull over DistanceMatrix.pairs into both endpoints.
     Undefined where two points coincide; raises ValueError there.
     """
     x = as_layout(coords, dist.n)
-    n = dist.n
-    d = dist.matrix
-    diff = x[:, None, :] - x[None, :, :]
-    lengths = np.hypot(diff[..., 0], diff[..., 1])
-    off = ~np.eye(n, dtype=bool)
-    if (lengths[off] == 0.0).any():
+    i, j, target = dist.pairs
+    z = points(x)
+    delta = z[i] - z[j]
+    lengths = np.abs(delta)
+    if (lengths == 0.0).any():
         raise ValueError("coincident points: gradient term is singular")
-    eye = np.eye(n)
-    coef = 2.0 * (lengths - d) / ((d + eye) ** 2 * (lengths + eye))
-    np.fill_diagonal(coef, 0.0)
-    return (coef[:, :, None] * diff).sum(axis=1)
+    pull = 2.0 * (lengths - target) / (target**2 * lengths) * delta
+    gradient = np.zeros(dist.n, dtype=complex)
+    np.add.at(gradient, i, pull)
+    np.subtract.at(gradient, j, pull)
+    return gradient.view(float).reshape(-1, 2)
 
 
 def procrustes_error(a, b) -> float:

@@ -3,8 +3,9 @@
 Every oracle here deliberately avoids the code paths it is used to check:
 Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
 iteration, finite differences vs the analytic gradient, rotation grid
-search vs the closed-form similarity fit, and an (n, 2) weighted-average
-majorization sweep vs the complex-coordinate one.
+search vs the closed-form similarity fit, an (n, 2) weighted-average
+majorization sweep vs the complex-coordinate one, and the dense (n, n)
+gradient formula vs the sum over the pair table.
 """
 
 from __future__ import annotations
@@ -64,6 +65,22 @@ def finite_difference_gradient(coords, dist: DistanceMatrix, h: float = 1e-6) ->
             backward[i, axis] -= h
             grad[i, axis] = (stress(forward, dist) - stress(backward, dist)) / (2.0 * h)
     return grad
+
+
+def dense_stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
+    """Stress gradient from full (n, n) difference arrays.
+
+    Row i is sum_{j != i} 2 (|x_i - x_j| - d_ij) / (d_ij**2 |x_i - x_j|)
+    (x_i - x_j); the identity keeps the diagonal's 0 / 0 out.
+    """
+    x = np.array(coords, dtype=float)
+    d = dist.matrix
+    eye = np.eye(dist.n)
+    diff = x[:, None, :] - x[None, :, :]
+    lengths = np.hypot(diff[..., 0], diff[..., 1])
+    coef = 2.0 * (lengths - d) / ((d + eye) ** 2 * (lengths + eye))
+    np.fill_diagonal(coef, 0.0)
+    return (coef[:, :, None] * diff).sum(axis=1)
 
 
 def cmds_eigh_oracle(dist: DistanceMatrix) -> np.ndarray:

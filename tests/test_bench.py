@@ -115,6 +115,12 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="unknown initializer"):
             ExperimentConfig(graphs=(("p5", path_graph(5)),), initializers=("spectral",))
 
+    @pytest.mark.parametrize("kwargs", [{"algorithms": ("sgd", "smacof", "sgd")},
+                                        {"initializers": ("cmds", "cmds")}])
+    def test_repeated_cell_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="once"):
+            ExperimentConfig(graphs=(), **kwargs)
+
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):
             ExperimentConfig(graphs=(), repetitions=0)
@@ -280,6 +286,20 @@ class TestCsv:
         export_csv([make_trace(values=values)], out)
         parsed = parse_traces_csv(io.StringIO(out.getvalue()))
         assert parsed[0].values == values
+
+    @pytest.mark.parametrize("iterations", [(0, 1, 0, 1), (0, 2), (1, 2), (0, 1, 1)])
+    def test_runs_sharing_a_key_refused(self, iterations):
+        rows = "".join(f"g,hybrid,sgd_1,0,{t},{1.0 / (t + 1)!r}\n" for t in iterations)
+        with pytest.raises(ValueError, match="g/hybrid/sgd_1/s0"):
+            parse_traces_csv(io.StringIO(",".join(bench.TRACE_HEADER) + "\n" + rows))
+
+    def test_interleaved_keys_parse_as_separate_runs(self):
+        text = ("graph,algorithm,initializer,seed,iteration,stress\n"
+                "g,sgd,random,0,0,3.0\ng,sgd,random,1,0,4.0\n"
+                "g,sgd,random,0,1,2.0\ng,sgd,random,1,1,1.0\n")
+        parsed = parse_traces_csv(io.StringIO(text))
+        assert [(t.run_id, t.values) for t in parsed] == [
+            ("g/sgd/random/s0", (3.0, 2.0)), ("g/sgd/random/s1", (4.0, 1.0))]
 
     def test_report_schema(self):
         traces = [make_trace(algorithm="smacof", initializer="cmds", values=(2.0, 1.5))]

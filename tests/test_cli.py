@@ -243,6 +243,15 @@ class TestBenchCommand:
         assert main(["bench", "grid:3,3", "--reps", "1", *extra]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--algs", "smacof,smacof"], ["--inits", "cmds,cmds"],
+                  ["--algs", "smacof,sgd,smacof", "--inits", "cmds,random"]]
+    )
+    def test_repeated_cells_fail_before_loading(self, workdir, capsys, no_loading, extra):
+        assert main(["bench", "path:6", "--reps", "1", "--trace", "t.csv", *extra]) == 1
+        assert extra[0] in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
 
 class TestHybridCommand:
     def test_report_rows(self, workdir):
@@ -274,6 +283,12 @@ class TestHybridCommand:
         err = capsys.readouterr().err
         assert "error" in err and ks.split(",")[-1] in err
         assert not (workdir / "h.csv").exists()
+
+    @pytest.mark.parametrize("ks", ["1,1", "0,3,0"])
+    def test_repeated_ks_fail_before_loading(self, workdir, capsys, no_loading, ks):
+        assert main(["hybrid", "path:6", f"--ks={ks}", "--reps", "1", "--trace", "t.csv"]) == 1
+        assert "--ks" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
     @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two"])
     def test_bad_ks_are_usage_errors(self, workdir, capsys, no_loading, ks):

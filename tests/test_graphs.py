@@ -21,6 +21,7 @@ from stresslayout import (
     parse_matrix_market,
     path_graph,
 )
+from stresslayout.graphs import bfs_hops
 from helpers import floyd_warshall, random_connected_graph
 
 
@@ -184,6 +185,20 @@ class TestComponents:
     def test_component_listing(self):
         g = Graph.from_edges(5, [(0, 1), (3, 4)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+    @given(st.integers(0, 40), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_components_partition_into_bfs_reach(self, n, data):
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=n)) if n else []
+        g = Graph.from_edges(n, edges)
+        components = connected_components(g)
+        assert sorted(v for c in components for v in c) == list(range(n))
+        smallest = [min(c) for c in components]
+        assert smallest == sorted(set(smallest))
+        for c in components:
+            hops = bfs_hops(g, c[0])
+            assert c == [v for v in range(n) if hops[v] >= 0]
 
 
 class TestShortestPaths:

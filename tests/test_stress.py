@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from stresslayout import (
     all_pairs_shortest_paths,
     cycle_graph,
+    grid_graph,
     path_graph,
     procrustes_error,
     stress,
     stress_gradient,
 )
+from stresslayout.stress import JITTER_EPSILON, points, separate
 from helpers import (
+    dense_stress_gradient,
     finite_difference_gradient,
     procrustes_grid_oracle,
     random_connected_graph,
@@ -104,6 +107,21 @@ class TestGradient:
         numeric = finite_difference_gradient(layout, dist)
         assert np.abs(analytic - numeric).max() < 1e-5
 
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(2), path_graph(9), cycle_graph(2), cycle_graph(11), grid_graph(4, 5),
+         grid_graph(1, 7), *(random_connected_graph(n, n // 2, n) for n in (3, 12, 30))],
+        ids=["path2", "path9", "cycle2", "cycle11", "grid4x5", "grid1x7",
+             "random3", "random12", "random30"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_formula(self, graph, seed):
+        dist = all_pairs_shortest_paths(graph)
+        layout = np.random.default_rng(seed).normal(scale=3.0, size=(graph.n, 2))
+        dense = dense_stress_gradient(layout, dist)
+        error = np.abs(stress_gradient(layout, dist) - dense).max()
+        assert error <= 1e-12 * np.abs(dense).max()
+
     def test_descent_direction(self):
         rng = np.random.default_rng(7)
         dist = all_pairs_shortest_paths(random_connected_graph(8, 4, 3))
@@ -118,6 +136,61 @@ class TestGradient:
             step *= 0.5
         else:
             pytest.fail("no decrease along the negative gradient")
+
+
+def scalar_separate(z, i, j, rng):
+    """Reference nudge: one scalar angle per pair, applied pair by pair."""
+    for a, b in zip(i, j):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        nudge = JITTER_EPSILON * complex(math.cos(angle), math.sin(angle))
+        z[a] += nudge
+        z[b] -= nudge
+
+
+class TestPoints:
+    def test_view_of_layout_rows(self):
+        x = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, -0.25]])
+        z = points(x)
+        assert np.shares_memory(z, x)
+        assert z.tolist() == [1 + 2j, -3 + 0.5j, -0.25j]
+        z[1] = 4 - 1j
+        assert x[1].tolist() == [4.0, -1.0]
+
+
+class TestSeparate:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("i,j", [
+        ([2, 2, 2, 2], [0, 1, 3, 5]),  # one vertex against its coincident neighbours
+        ([0, 4, 1], [3, 2, 5]),  # disjoint pairs, as in one matching round
+        ([5, 5], [0, 4]),
+    ])
+    def test_equals_scalar_loop(self, seed, i, j):
+        z = np.random.default_rng(100 + seed).normal(size=6) + 0j
+        z[j] = z[i]  # each pair coincident, as the optimizers call it
+        expected = z.copy()
+        rng_loop = np.random.default_rng(seed)
+        scalar_separate(expected, i, j, rng_loop)
+        rng = np.random.default_rng(seed)
+        separate(z, np.array(i), np.array(j), rng)
+        assert np.array_equal(z, expected)
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coincident_pairs_keep_midpoints(self, seed):
+        rng = np.random.default_rng(seed)
+        i, j = np.array([0, 2, 4]), np.array([1, 3, 5])
+        z = rng.normal(size=6) + 1j * rng.normal(size=6)
+        z[j] = z[i]
+        before = z[i].copy()
+        separate(z, i, j, rng)
+        assert np.abs((z[i] + z[j]) / 2.0 - before).max() <= 1e-15
+        assert np.allclose(np.abs(z[i] - z[j]), 2.0 * JITTER_EPSILON, rtol=1e-8)
+
+    def test_repeated_index_keeps_centroid(self):
+        z = np.zeros(5, dtype=complex)
+        separate(z, np.full(4, 0), np.arange(1, 5), np.random.default_rng(3))
+        assert abs(z.sum()) <= 1e-20
+        assert np.allclose(np.abs(z[1:]), JITTER_EPSILON, rtol=1e-12)
 
 
 class TestProcrustes:

@@ -93,6 +93,16 @@ def test_workload_spans_recorded(workload, tmp_path):
     assert tracer.missing_spans(traced(WORKLOAD_JOBS[workload], tmp_path), workload) == []
 
 
+@pytest.mark.parametrize("argv,count", [
+    (["layout", "grid:5,5", "--alg", "sgd"], 25),
+    (["layout", "grid:5,5", "--alg", "sgd", "--init", "pivot", "--pivots", "3"], 28),
+    (["layout", "cycle:7", "--alg", "smacof", "--init", "cmds"], 7),
+])
+def test_bfs_count_is_distance_queries(argv, count, tmp_path):
+    # one search per distance-matrix row and per pivot; the component scan is not counted
+    assert traced([argv], tmp_path).counts["graphs.bfs_count"] == count
+
+
 def test_hybrid_builds_one_distance_matrix(tmp_path):
     recorder = traced([WORKLOAD_JOBS["paper_grid"][1]], tmp_path)
     assert [span[0] for span in recorder.spans].count("graphs.apsp") == 1
