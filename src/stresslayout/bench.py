@@ -101,6 +101,11 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {kind} {name!r}; expected one of {known}")
             if len(set(names)) < len(names):  # a repeated cell would run twice under one key
                 raise ValueError(f"{flag}: each {kind} may be given once, got {','.join(names)}")
+        graph_names = [name for name, _ in self.graphs]
+        for name in graph_names:  # two graphs under one name would share trace keys and a row
+            if graph_names.count(name) > 1:
+                raise ValueError(f"graph name {name!r} is given {graph_names.count(name)} times; "
+                                 "each input graph needs its own name (a file is named by its stem)")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,17 @@ from .graphs import DistanceMatrix
 # whose direction would otherwise be undefined.
 JITTER_EPSILON = 1e-6
 
+# stress() evaluates this many pair terms at a time: its scratch memory
+# (about 1.3 MiB) no longer grows with n, and at 2**15 pairs the numpy
+# calls per block cost little next to their work.
+STRESS_BLOCK = 1 << 15
+
+# ExactSum's bins, one per float64 exponent field, and its array limit:
+# 2**26 values of at most 26 bits each keep every float64 bin sum exact.
+EXPONENT_BINS = 1 << 11
+LOW_26 = (1 << 26) - 1
+MAX_ARRAY_TERMS = 1 << 26
+
 
 def as_layout(coords, n: int | None = None) -> np.ndarray:
     """Validate coordinates and return them as a new C-ordered (n, 2) float64 array."""
@@ -53,15 +64,65 @@ def separate(z, i, j, rng: np.random.Generator) -> None:
 def stress(coords, dist: DistanceMatrix) -> float:
     """Weighted squared deviation of layout distances from targets.
 
-    Terms are accumulated in fixed i<j lexicographic order with exact
-    compensated summation, so the value is reproducible bit-for-bit.
+    The pair terms are computed STRESS_BLOCK pairs at a time, so scratch
+    memory stays fixed as n grows, and their sum over all blocks is
+    exactly rounded (ExactSum): the value is math.fsum of the terms, bit
+    for bit, whatever the block size or machine.
     """
     x = as_layout(coords, dist.n)
     i, j, target = dist.pairs
     xs, ys = x.T
-    lengths = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
-    terms = ((lengths - target) / target) ** 2
-    return math.fsum(memoryview(terms))
+    total = ExactSum()
+    for start in range(0, len(target), STRESS_BLOCK):
+        block = slice(start, start + STRESS_BLOCK)
+        a, b, t = i[block], j[block], target[block]
+        lengths = np.hypot(xs[a] - xs[b], ys[a] - ys[b])
+        total.add(((lengths - t) / t) ** 2)
+    return total.value()
+
+
+class ExactSum:
+    """Exactly rounded sum of nonnegative float64 values: math.fsum of all
+    values added, bit for bit, in any order.
+
+    A value with exponent field e > 0 and mantissa bits m is
+    (2**52 + m) * 2**(e - 1075); with e = 0 (zero or subnormal) it is
+    m * 2**-1074.  Each bin, one per e, holds its value count (the
+    implicit bits) and the sums of the upper and lower 26 bits of m.
+    np.bincount's float64 sums of 26-bit integers are exact for arrays of
+    up to MAX_ARRAY_TERMS values; the bins carry across arrays in int64.
+    """
+
+    def __init__(self):
+        self.counts, self.highs, self.lows = (np.zeros(EXPONENT_BINS, np.int64) for _ in range(3))
+
+    def add(self, values: np.ndarray) -> None:
+        """Add a contiguous float64 array of nonnegative values."""
+        if len(values) > MAX_ARRAY_TERMS:
+            raise ValueError(f"ExactSum.add takes at most {MAX_ARRAY_TERMS} values at a time")
+        bits = values.view(np.int64)
+        exponents = bits >> 52
+        self.counts += np.bincount(exponents, minlength=EXPONENT_BINS)
+        self.highs += np.bincount(exponents, (bits >> 26) & LOW_26, EXPONENT_BINS).astype(np.int64)
+        self.lows += np.bincount(exponents, bits & LOW_26, EXPONENT_BINS).astype(np.int64)
+
+    def value(self) -> float:
+        """The sum so far, from one Python int whose division by 2**1075 is
+        correctly rounded.  As with fsum, a finite part that rounds beyond
+        the float range raises OverflowError; otherwise an inf value gives
+        inf.  (fsum also raises on some sums that round down to the float
+        maximum, when its partials overflow; here those give the maximum.)
+        """
+        used = np.flatnonzero(self.counts[:-1])
+        total = 0
+        for e, count, high, low in zip(used.tolist(), self.counts[used].tolist(),
+                                       self.highs[used].tolist(), self.lows[used].tolist()):
+            implicit = count << 52 if e else 0
+            total += (implicit + (high << 26) + low) << max(e, 1)
+        finite = total / (1 << 1075)
+        if self.counts[-1]:  # exponent field all ones: inf, or NaN if a mantissa bit is set
+            return math.nan if self.highs[-1] or self.lows[-1] else math.inf
+        return finite
 
 
 def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:

@@ -4,8 +4,9 @@ Every oracle here deliberately avoids the code paths it is used to check:
 Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
 iteration, finite differences vs the analytic gradient, rotation grid
 search vs the closed-form similarity fit, an (n, 2) weighted-average
-majorization sweep vs the complex-coordinate one, and the dense (n, n)
-gradient formula vs the sum over the pair table.
+majorization sweep vs the complex-coordinate one, the dense (n, n)
+gradient formula vs the sum over the pair table, and one math.fsum over
+all pair terms vs stress's blocked integer-bin sum.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def floyd_warshall(g: Graph) -> np.ndarray:
                 if alt < di[j]:
                     di[j] = alt
     return np.array(d)
+
+
+def reference_stress(coords, dist: DistanceMatrix) -> float:
+    """Stress from every pair term at once, summed by math.fsum."""
+    x = np.array(coords, dtype=float)
+    i, j, target = dist.pairs
+    lengths = np.hypot(x[i, 0] - x[j, 0], x[i, 1] - x[j, 1])
+    return math.fsum(memoryview(((lengths - target) / target) ** 2))
 
 
 def finite_difference_gradient(coords, dist: DistanceMatrix, h: float = 1e-6) -> np.ndarray:

@@ -121,6 +121,11 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="once"):
             ExperimentConfig(graphs=(), **kwargs)
 
+    def test_repeated_graph_name_rejected(self):
+        graphs = (("g", path_graph(3)), ("c", path_graph(5)), ("g", path_graph(4)))
+        with pytest.raises(ValueError, match="graph name 'g' is given 2 times"):
+            ExperimentConfig(graphs=graphs)
+
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):
             ExperimentConfig(graphs=(), repetitions=0)

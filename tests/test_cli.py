@@ -252,6 +252,24 @@ class TestBenchCommand:
         assert extra[0] in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize("inputs, name", [(["path:6", "path:6"], "'path_6'"),
+                                              (["a/g.edges", "b/g.edges"], "'g'")],
+                             ids=["synthetic", "file-stem"])
+    def test_repeated_graph_names_fail_before_running(self, workdir, capsys, monkeypatch,
+                                                      inputs, name):
+        # two different graphs (a 3- and a 4-vertex path) that share a file stem
+        for folder, edges in (("a", "0 1\n1 2\n"), ("b", "0 1\n1 2\n2 3\n")):
+            (workdir / folder).mkdir()
+            (workdir / folder / "g.edges").write_text(edges)
+
+        def fail(config):
+            raise AssertionError("run_grid must not be called")
+
+        monkeypatch.setattr(cli, "run_grid", fail)
+        assert main(["bench", *inputs, "--reps", "1", "--trace", "t.csv"]) == 1
+        assert f"graph name {name} is given 2 times" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == ["a", "b"]
+
 
 class TestHybridCommand:
     def test_report_rows(self, workdir):

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +17,13 @@ from stresslayout import (
     stress,
     stress_gradient,
 )
-from stresslayout.stress import JITTER_EPSILON, points, separate
+from stresslayout.stress import JITTER_EPSILON, STRESS_BLOCK, ExactSum, points, separate
 from helpers import (
     dense_stress_gradient,
     finite_difference_gradient,
     procrustes_grid_oracle,
     random_connected_graph,
+    reference_stress,
 )
 
 P3_DIST = all_pairs_shortest_paths(path_graph(3))
@@ -72,6 +76,153 @@ class TestStressValue:
         if reflect:
             moved = moved[:, ::-1].copy()
         assert stress(moved, dist) == pytest.approx(base, rel=1e-10, abs=1e-12)
+
+
+def exact_sum(*arrays):
+    total = ExactSum()
+    for values in arrays:
+        total.add(np.asarray(values, dtype=float))
+    return total.value()
+
+
+# Exponent fields up to 2029 give values below 2**1007, so even 2**16 of
+# them sum below 2**1023 and math.fsum, the oracle, cannot overflow
+# (TestExactSum.test_top_of_range covers the rest of the range).
+MAX_EXPONENT_FIELD = 2029
+LENGTHS = (0, 1, 2, 3, 50, STRESS_BLOCK - 1, STRESS_BLOCK, STRESS_BLOCK + 1)
+
+
+@st.composite
+def nonnegative_arrays(draw):
+    """float64 arrays built from their bits: exponent fields drawn from a
+    range anywhere in [0, MAX_EXPONENT_FIELD] (0 gives zeros and
+    subnormals), mantissas random, all zero or all ones, plus exact zeros."""
+    length = draw(st.sampled_from(LENGTHS))
+    low = draw(st.integers(0, MAX_EXPONENT_FIELD))
+    high = draw(st.integers(low, MAX_EXPONENT_FIELD))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = rng.integers(low, high, length, dtype=np.int64, endpoint=True)
+    mantissas = {
+        "random": rng.integers(0, 1 << 52, length, dtype=np.int64),
+        "zero": np.zeros(length, dtype=np.int64),
+        "ones": np.full(length, (1 << 52) - 1, dtype=np.int64),
+    }[draw(st.sampled_from(["random", "zero", "ones"]))]
+    bits = (exponents << 52) | mantissas
+    bits[rng.random(length) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0
+    return bits.view(np.float64)
+
+
+@st.composite
+def round_half_even_ties(draw):
+    """A value b plus k halves of b's last place (a tie for odd k), in
+    random order, sometimes with 2**-1074 more to break the tie."""
+    exponent = draw(st.integers(54, MAX_EXPONENT_FIELD))  # half an ulp stays representable
+    mantissa = draw(st.integers(0, (1 << 52) - 1))
+    base = float(np.int64((exponent << 52) | mantissa).view(np.float64))
+    k = draw(st.sampled_from([1, 2, 3, 1001, STRESS_BLOCK + 1]))
+    values = np.concatenate([[base], np.full(k, math.ulp(base) / 2),
+                             [5e-324] if draw(st.booleans()) else []])
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(values)
+
+
+class TestExactSum:
+    @given(st.one_of(nonnegative_arrays(), round_half_even_ties()), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum(self, values, data):
+        expected = math.fsum(values)
+        assert exact_sum(values) == expected
+        cut = data.draw(st.integers(0, len(values)))
+        assert exact_sum(values[cut:], values[:cut]) == expected  # any split, any order
+
+    @pytest.mark.parametrize("values, expected", [
+        ([1.0, 2**-53], 1.0),  # a tie rounds to the even neighbour below
+        ([1.0 + 2**-52, 2**-53], 1.0 + 2**-51),  # and to the even neighbour above
+        ([1.0, 2**-53, 5e-324], 1.0 + 2**-52),  # just past the tie rounds up
+        ([1.0] + [2**-53] * (STRESS_BLOCK + 1), 1.0 + (STRESS_BLOCK + 1) * 2**-53),
+        ([5e-324] * 3, 1.5e-323),
+        ([], 0.0),
+    ])
+    def test_examples(self, values, expected):
+        assert exact_sum(values) == math.fsum(values) == expected
+
+    @pytest.mark.parametrize("values, expected", [
+        ([sys.float_info.max, 2.0**969], sys.float_info.max),  # below half the last place
+        ([sys.float_info.max, 1.0], sys.float_info.max),
+        ([sys.float_info.max, 2.0**970], OverflowError),  # a tie rounds to 2**1024
+        ([sys.float_info.max] * 2, OverflowError),
+        ([1.0, math.inf, 2.0], math.inf),
+        ([sys.float_info.max] * 2 + [math.inf], OverflowError),
+    ])
+    def test_top_of_range(self, values, expected):
+        if expected is OverflowError:
+            with pytest.raises(OverflowError):
+                math.fsum(values)
+            with pytest.raises(OverflowError):
+                exact_sum(values)
+        else:
+            assert exact_sum(values) == math.fsum(values) == expected
+
+    def test_rounds_where_fsum_overflows_midway(self):
+        # exactly float max + 2**970 - 2**916, just under the tie with 2**1024; fsum
+        # rounds its partial 2**970 - 2**916 up to 2**970 and raises on that tie
+        values = [2.0**969, 2.0**969 - 2.0**916, sys.float_info.max]
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        assert exact_sum(values) == float(sum(map(Fraction, values))) == sys.float_info.max
+
+
+SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
+
+
+class TestStressExactness:
+    @pytest.mark.parametrize("graph", [
+        path_graph(7), cycle_graph(12), grid_graph(5, 6), random_connected_graph(40, 20, 5),
+        path_graph(300), cycle_graph(260), grid_graph(16, 17), random_connected_graph(270, 135, 6),
+    ], ids=["path7", "cycle12", "grid5x6", "random40",
+            "path300", "cycle260", "grid16x17", "random270"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_reference(self, graph, seed):
+        dist = all_pairs_shortest_paths(graph)
+        layout = np.random.default_rng(seed).normal(size=(graph.n, 2))
+        for scale in SCALES:
+            assert stress(layout * scale, dist) == reference_stress(layout * scale, dist)
+
+    def test_realized_path_above_one_block(self):
+        dist = all_pairs_shortest_paths(path_graph(300))
+        assert len(dist.pairs[2]) > STRESS_BLOCK
+        line = np.column_stack([np.arange(300.0), np.zeros(300)])
+        assert stress(line, dist) == reference_stress(line, dist) == 0.0
+        line[150, 1] = 1e-7
+        assert stress(line, dist) == reference_stress(line, dist) > 0.0
+
+    def test_infinite_term(self):
+        layout = [[-1e308, 0.0], [0.0, 0.0], [1e308, 0.0]]  # |x_0 - x_2| overflows to inf
+        assert stress(layout, P3_DIST) == reference_stress(layout, P3_DIST) == math.inf
+
+    def test_finite_overflow(self):
+        layout = [[0.0, 0.0], [1e154, 0.0], [2e154, 0.0]]  # three terms near 1e308
+        for evaluate in (stress, reference_stress):
+            with pytest.raises(OverflowError):
+                evaluate(layout, P3_DIST)
+
+
+class TestStressMemory:
+    @staticmethod
+    def peak_bytes(rows, cols):
+        dist = all_pairs_shortest_paths(grid_graph(rows, cols))
+        layout = np.random.default_rng(0).normal(size=(dist.n, 2))
+        stress(layout, dist)  # the cached pair table is not stress's scratch memory
+        tracemalloc.start()
+        try:
+            stress(layout, dist)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_pairs(self):
+        small, large = self.peak_bytes(20, 30), self.peak_bytes(30, 50)  # 179700, 1124250 pairs
+        assert large < 2 * 2**20
+        assert large <= 1.1 * small
 
 
 class TestGradient:
