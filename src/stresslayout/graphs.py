@@ -74,7 +74,17 @@ class DistanceMatrix:
     """
 
     def __init__(self, matrix):
-        d = np.array(matrix, dtype=float)
+        self._adopt(np.array(matrix, dtype=float))
+
+    @classmethod
+    def _owning(cls, d: np.ndarray) -> "DistanceMatrix":
+        """Wrap a float64 array that no one else holds, without a copy."""
+        self = cls.__new__(cls)
+        self._adopt(d)
+        return self
+
+    def _adopt(self, d: np.ndarray) -> None:
+        """Validate d and keep it, made read-only."""
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if d.shape[0] < 1:
@@ -277,7 +287,7 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    d = np.zeros((g.n, g.n))
+    d = np.empty((g.n, g.n))  # every row is written below
     for s in range(g.n):
         hops = bfs_hops(g, s)
         if -1 in hops:
@@ -285,7 +295,7 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
                 f"vertex {hops.index(-1)} unreachable from vertex {s}"
             )
         d[s] = hops
-    return DistanceMatrix(d)
+    return DistanceMatrix._owning(d)
 
 
 def path_graph(n: int) -> Graph:

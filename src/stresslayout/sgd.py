@@ -105,23 +105,26 @@ def _rounds(n: int):
     return a, b
 
 
-def _round(z, i, j, d, mu, rng):
+def _round(z, i, j, d, half_mu, rng):
     """Update the disjoint pairs (i[k], j[k]) of points z = x + iy at once, in place.
 
-    No vertex occurs twice in i and j together, so the result equals
-    pair_update on each pair in turn, in any order.  Coincident pairs are
-    first nudged apart by stress.separate, one angle per pair from rng.
+    half_mu holds 0.5 * mu per pair.  No vertex occurs twice in i and j
+    together, so the result equals pair_update on each pair in turn, in
+    any order.  Coincident pairs are first nudged apart by
+    stress.separate, one angle per pair from rng.
     """
-    delta = z[i] - z[j]
+    zi, zj = z[i], z[j]
+    delta = zi - zj
     length = np.abs(delta)
-    coincident = length <= 0.0
-    if coincident.any():
+    if not length.all():
+        coincident = length == 0.0
         separate(z, i[coincident], j[coincident], rng)
-        delta = z[i] - z[j]
+        zi, zj = z[i], z[j]
+        delta = zi - zj
         length = np.abs(delta)
-    move = (0.5 * mu * (length - d) / length) * delta
-    z[i] -= move
-    z[j] += move
+    move = (half_mu * (length - d) / length) * delta
+    z[i] = zi - move
+    z[j] = zj + move
 
 
 def run_sgd(
@@ -160,9 +163,9 @@ def run_sgd(
         a = vertex[slot_a[order]]
         b = vertex[slot_b[order]]
         d = dist.matrix[a, b]
-        mu = np.minimum(1.0, eta / (d * d))
-        for i, j, d_round, mu_round in zip(a, b, d, mu):
-            _round(z, i, j, d_round, mu_round, rng)
+        half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
+        for i, j, d_round, half_round in zip(a, b, d, half_mu):
+            _round(z, i, j, d_round, half_round, rng)
         trace.append(stress(x, dist))
         if callback is not None:
             callback(t + 1, x.copy())

@@ -55,10 +55,15 @@ def floyd_warshall(g: Graph) -> np.ndarray:
 
 
 def reference_stress(coords, dist: DistanceMatrix) -> float:
-    """Stress from every pair term at once, summed by math.fsum."""
+    """Stress from every pair term at once, summed by math.fsum.
+
+    Lengths are np.abs of complex differences, as in stress itself, so a
+    mismatch points at the summation.
+    """
     x = np.array(coords, dtype=float)
+    z = x[:, 0] + 1j * x[:, 1]
     i, j, target = dist.pairs
-    lengths = np.hypot(x[i, 0] - x[j, 0], x[i, 1] - x[j, 1])
+    lengths = np.abs(z[i] - z[j])
     return math.fsum(memoryview(((lengths - target) / target) ** 2))
 
 

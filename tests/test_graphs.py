@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,17 @@ class TestShortestPaths:
                 for k in range(g.n):
                     assert d[i, k] <= d[i, j] + d[j, k]
 
+    def test_peak_memory_near_result(self):
+        g = grid_graph(20, 30)
+        all_pairs_shortest_paths(path_graph(3))  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            d = all_pairs_shortest_paths(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d.matrix.nbytes  # one n x n array, not a second copy
+
 
 class TestGenerators:
     def test_path(self):
@@ -298,6 +310,13 @@ class TestDistanceMatrix:
         d = DistanceMatrix([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             d.matrix[0, 1] = 5.0
+
+    def test_copies_caller_array(self):
+        owned = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = DistanceMatrix(owned)
+        owned[0, 1] = owned[1, 0] = 5.0
+        assert d.matrix[0, 1] == 1.0
+        assert not np.shares_memory(owned, d.matrix)
 
     def test_pair_table(self):
         d = all_pairs_shortest_paths(grid_graph(3, 4))

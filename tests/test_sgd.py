@@ -183,7 +183,7 @@ class TestMatchingRounds:
             for p, q, d_pq, mu_pq in zip(i, j, d, mu):
                 expected[p], expected[q] = pair_update(expected[p], expected[q], d_pq, mu_pq)
             z = x[:, 0] + 1j * x[:, 1]
-            _round(z, i, j, d, mu, rng)
+            _round(z, i, j, d, 0.5 * mu, rng)
             assert np.abs(np.column_stack((z.real, z.imag)) - expected).max() <= 1e-12
             x = expected
 

@@ -28,6 +28,7 @@ from helpers import (
 
 P3_DIST = all_pairs_shortest_paths(path_graph(3))
 
+EPS = np.finfo(float).eps
 finite_coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
 
@@ -173,19 +174,43 @@ class TestExactSum:
 
 SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
 
+# Instances up to one block and above it, each with two random layouts.
+on_instances = pytest.mark.parametrize("graph", [
+    path_graph(7), cycle_graph(12), grid_graph(5, 6), random_connected_graph(40, 20, 5),
+    path_graph(300), cycle_graph(260), grid_graph(16, 17), random_connected_graph(270, 135, 6),
+], ids=["path7", "cycle12", "grid5x6", "random40",
+        "path300", "cycle260", "grid16x17", "random270"])
+on_seeds = pytest.mark.parametrize("seed", range(2))
+
 
 class TestStressExactness:
-    @pytest.mark.parametrize("graph", [
-        path_graph(7), cycle_graph(12), grid_graph(5, 6), random_connected_graph(40, 20, 5),
-        path_graph(300), cycle_graph(260), grid_graph(16, 17), random_connected_graph(270, 135, 6),
-    ], ids=["path7", "cycle12", "grid5x6", "random40",
-            "path300", "cycle260", "grid16x17", "random270"])
-    @pytest.mark.parametrize("seed", range(2))
+    @on_instances
+    @on_seeds
     def test_equals_reference(self, graph, seed):
         dist = all_pairs_shortest_paths(graph)
         layout = np.random.default_rng(seed).normal(size=(graph.n, 2))
         for scale in SCALES:
             assert stress(layout * scale, dist) == reference_stress(layout * scale, dist)
+
+    @on_instances
+    @on_seeds
+    def test_within_four_ulp_lengths_of_hypot(self, graph, seed):
+        # stress measures lengths as np.abs of complex differences; against
+        # np.hypot lengths summed by fsum, it may differ by what a 4-ulp
+        # error in each length changes its term, plus each side's rounding
+        # of the term (2.5 eps) and of the sum (half an ulp).
+        dist = all_pairs_shortest_paths(graph)
+        i, j, target = dist.pairs
+        layout = np.random.default_rng(seed).normal(size=(graph.n, 2))
+        for scale in SCALES:
+            x = layout * scale
+            lengths = np.hypot(x[i, 0] - x[j, 0], x[i, 1] - x[j, 1])
+            terms = ((lengths - target) / target) ** 2
+            hypot_stress = math.fsum(memoryview(terms))
+            slack = 4.0 * np.spacing(lengths)
+            term_slack = slack * (2.0 * np.abs(lengths - target) + slack) / target**2
+            bound = math.fsum(memoryview(term_slack + 5.0 * EPS * terms)) + math.ulp(hypot_stress)
+            assert abs(stress(x, dist) - hypot_stress) <= bound
 
     def test_realized_path_above_one_block(self):
         dist = all_pairs_shortest_paths(path_graph(300))
