@@ -41,7 +41,7 @@ from .initializers import (
     random_init,
 )
 from .sgd import SgdConfig, pair_update, run_sgd
-from .smacof import SmacofConfig, run_smacof, smacof_iteration, vertex_update
+from .smacof import SmacofConfig, run_smacof, smacof_iteration
 from .stress import as_layout, procrustes_error, stress, stress_gradient
 from .svg import render_svg
 

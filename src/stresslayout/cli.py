@@ -1,7 +1,8 @@
 """Command-line front end: lay out graphs, run benchmark grids, render SVG.
 
-Exit codes: 0 success, 1 malformed input, 2 disconnected input under
---strict (or usage errors from argparse), 3 I/O failure.
+Exit codes: 0 success, 1 malformed input or a graph too large for this
+machine's memory, 2 disconnected input under --strict (or usage errors
+from argparse), 3 I/O failure.
 
 Inputs are files (.mtx Matrix Market, anything else edge list, override
 with --format) or synthetic specifiers like ``path:100``, ``cycle:100``,
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -29,6 +32,7 @@ from .bench import (
 from .graphs import (
     Graph,
     all_pairs_shortest_paths,
+    bfs_hops,
     connected_components,
     generate,
     largest_connected_component,
@@ -44,6 +48,13 @@ _SYNTHETIC = re.compile(r"^(path|cycle|grid|complete):(\d+(?:,\d+)*)$")
 
 # Default SGD iteration count before majorization for layout --alg hybrid.
 SGD_K = 7
+
+# peak_bytes terms besides the held arrays: a process with numpy and this
+# package imported, and the scratch of all_pairs_shortest_paths as a
+# share of its n x n float64 result.
+MIB = 2**20
+IMPORT_FLOOR = 28 * MIB
+APSP_TRANSIENT = 0.15
 
 
 class _StrictDisconnected(Exception):
@@ -169,7 +180,10 @@ def _add_experiment_flags(parser) -> None:
 
 
 def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfig:
-    """The campaign the flags describe, validated before any graph is loaded."""
+    """The campaign the flags describe, validated before any graph is loaded.
+
+    The largest graph must fit in memory (check_memory) before any cell runs.
+    """
     config = ExperimentConfig(
         graphs=(),
         algorithms=algorithms,
@@ -180,7 +194,46 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
         sgd_eps=args.eps,
     )
     graphs = tuple(_load_connected(spec, args.format, args.strict) for spec in specs)
+    name, largest = max(graphs, key=lambda named: named[1].n)
+    check_memory(name, largest.n, algorithms)
     return dataclasses.replace(config, graphs=graphs)
+
+
+def peak_bytes(n: int, algorithm: str) -> int:
+    """Estimated peak memory of one run on n vertices, in bytes.
+
+    The arrays a run holds throughout: the distance matrix (8 n**2), its
+    pair table (12 n**2: two int64 indices and one float64 target per
+    unordered pair) and, for smacof and hybrid, the majorization weights
+    (8 n**2).  On top come the scratch of all_pairs_shortest_paths and
+    the import floor.  Optimizer and stress() scratch is bounded in n
+    and left out.
+    """
+    per_entry = 8 + 12 + 8 * APSP_TRANSIENT + (0 if algorithm == "sgd" else 8)
+    return IMPORT_FLOOR + math.ceil(per_entry * n * n)
+
+
+def memory_limit() -> int | None:
+    """Physical memory in bytes, or None where the OS does not report it.
+
+    Total, not currently free, memory: free memory leaves out reclaimable
+    page cache and moves with the machine's momentary load.
+    """
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+
+
+def check_memory(name: str, n: int, algorithms) -> None:
+    """Fail fast, before any distance matrix exists, if a run cannot fit in memory."""
+    estimate = max(peak_bytes(n, algorithm) for algorithm in algorithms)
+    limit = memory_limit()
+    if limit is not None and estimate > limit:
+        raise ValueError(
+            f"{name}: a run on n = {n} vertices needs about {estimate / MIB:.0f} MiB, "
+            f"more than the {limit / MIB:.0f} MiB of physical memory"
+        )
 
 
 def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
@@ -253,6 +306,7 @@ def cmd_layout(args) -> int:
         raise ValueError(f"--snapshots: each number must be at most {last}, the last "
                          f"iteration the run can reach, got {max(snapshots)}")
     name, graph = _load_connected(args.input, args.format, args.strict)
+    check_memory(name, graph.n, (args.alg,))
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
     trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")
@@ -332,8 +386,9 @@ def cmd_info(args) -> int:
     largest = largest_connected_component(graph)
     print(f"largest component: {largest.n} vertices, {largest.m} edges")
     if largest.n >= 2:
-        dist = all_pairs_shortest_paths(largest)
-        print(f"diameter (largest component): {int(dist.matrix.max())}")
+        # one BFS per source, holding one row at a time instead of the n x n matrix
+        diameter = max(max(bfs_hops(largest, s)) for s in range(largest.n))
+        print(f"diameter (largest component): {diameter}")
         degrees = [largest.degree(i) for i in range(largest.n)]
         print(f"degree range: {min(degrees)}..{max(degrees)}")
     return 0

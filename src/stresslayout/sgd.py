@@ -5,7 +5,10 @@ endpoints along their connecting line so the pair distance gets closer to
 the target.  The pairs come in the n - 1 disjoint matching rounds of a
 circle-method round robin (n rounds for odd n), so one vectorized step per
 round equals a sequential sweep in some order; each iteration draws that
-order afresh.  A seed's random stream is fixed per version of this sweep.
+order afresh.  The rounds' slot rows come from the circle formula a chunk
+of rounds at a time, about STRESS_BLOCK pairs each, so a run's scratch
+memory beyond the distance matrix and its pair table does not grow with
+n.  A seed's random stream is fixed per version of this sweep.
 The per-pair step width is
 
     mu(t) = min(1, eta(t) / d_ij**2)
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix
-from .stress import as_layout, points, separate, stress
+from .stress import STRESS_BLOCK, as_layout, points, separate, stress
 
 # Default schedule: iteration count, and the final step as a fraction of a
 # full correction for the tightest pairs.
@@ -86,16 +89,18 @@ def pair_update(p, q, d: float, mu: float):
     return p - move, q + move
 
 
-def _rounds(n: int):
-    """Circle-method round robin: every unordered slot pair in exactly one round.
+def _rounds(n: int, rounds):
+    """Slot rows of the given rounds of a circle-method round robin.
 
-    Returns slot arrays (a, b) of shape (m - 1, m // 2), with m = n rounded
-    up to even; row r pairs a[r, k] with b[r, k], and no slot occurs twice
-    in a row.  Slot m - 1 stays fixed and meets the rotating slot r in
-    column 0.  For odd n that fixed slot is a bye, so column 0 is dropped.
+    Over rounds 0..m - 2, with m = n rounded up to even, every unordered
+    slot pair occurs in exactly one round.  Returns slot arrays (a, b) of
+    shape (len(rounds), m // 2); row r pairs a[r, k] with b[r, k], and no
+    slot occurs twice in a row.  Slot m - 1 stays fixed and meets the
+    rotating slot r in column 0.  For odd n that fixed slot is a bye, so
+    column 0 is dropped.
     """
     m = n + n % 2
-    r = np.arange(m - 1)[:, None]
+    r = np.asarray(rounds)[:, None]
     k = np.arange(m // 2)
     a = (r + k) % (m - 1)
     b = (r - k) % (m - 1)
@@ -144,6 +149,10 @@ def run_sgd(
     every iteration, in this order: a permutation of the n vertices over
     the round-robin slots, a permutation of the rounds, then one jitter
     angle per coincident pair as the rounds meet them.
+    Each iteration takes the permuted rounds in chunks of about
+    STRESS_BLOCK pairs and gathers targets and steps for one chunk at a
+    time, so scratch memory stays bounded as n grows; the chunking does
+    not change the random stream or the result.
     The rounds move a copy of init in place through stress.points, and
     ``callback(t, layout)`` gets a copy of it after each 1-based iteration t.
     """
@@ -154,18 +163,22 @@ def run_sgd(
         raise ValueError(f"steps must be in [0, {config.iterations}], got {steps}")
     widths = step_widths(dist, config)
     rng = np.random.default_rng(config.seed)
-    slot_a, slot_b = _rounds(dist.n)
+    m = dist.n + dist.n % 2
+    rounds = m - 1
+    chunk = max(1, STRESS_BLOCK // (m // 2))  # rounds per gather
     z = points(x)
     trace = [stress(x, dist)]
     for t, eta in enumerate(widths[:steps]):
         vertex = rng.permutation(dist.n)
-        order = rng.permutation(len(slot_a))
-        a = vertex[slot_a[order]]
-        b = vertex[slot_b[order]]
-        d = dist.matrix[a, b]
-        half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
-        for i, j, d_round, half_round in zip(a, b, d, half_mu):
-            _round(z, i, j, d_round, half_round, rng)
+        order = rng.permutation(rounds)
+        for start in range(0, rounds, chunk):
+            slot_a, slot_b = _rounds(dist.n, order[start:start + chunk])
+            a = vertex[slot_a]
+            b = vertex[slot_b]
+            d = dist.matrix[a, b]
+            half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
+            for i, j, d_round, half_round in zip(a, b, d, half_mu):
+                _round(z, i, j, d_round, half_round, rng)
         trace.append(stress(x, dist))
         if callback is not None:
             callback(t + 1, x.copy())

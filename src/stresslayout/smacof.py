@@ -61,24 +61,6 @@ def _offsets(i: int, z):
     return diff, lengths
 
 
-def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
-    """Optimal reposition of vertex i with all other vertices held fixed.
-
-    With a single other vertex the result lands on the ray from that vertex
-    through x_i at exactly the target distance.  Raises on coincident
-    points; sweep-level callers jitter first.
-    """
-    x = as_layout(coords, dist.n)
-    if dist.n < 2:
-        raise ValueError("vertex update needs at least two vertices")
-    z = points(x)
-    diff, lengths = _offsets(i, z)
-    if not lengths.all():
-        raise ValueError(f"vertex {i} coincides with another vertex")
-    zi = _place(z, dist.weights[i], dist.matrix[i], diff, lengths)
-    return np.array([zi.real, zi.imag])
-
-
 def smacof_iteration(
     coords,
     dist: DistanceMatrix,

@@ -5,8 +5,9 @@ Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
 iteration, finite differences vs the analytic gradient, rotation grid
 search vs the closed-form similarity fit, an (n, 2) weighted-average
 majorization sweep vs the complex-coordinate one, the dense (n, n)
-gradient formula vs the sum over the pair table, and one math.fsum over
-all pair terms vs stress's blocked integer-bin sum.
+gradient formula vs the sum over the pair table, one math.fsum over
+all pair terms vs stress's blocked integer-bin sum, and whole-iteration
+gathers from a full round table vs run_sgd's chunked ones.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import math
 import numpy as np
 
 from stresslayout import DistanceMatrix, Graph, stress
-from stresslayout.stress import JITTER_EPSILON
+from stresslayout.sgd import _round, _rounds, step_widths
+from stresslayout.smacof import _offsets, _place
+from stresslayout.stress import JITTER_EPSILON, as_layout, points
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -178,3 +181,48 @@ def reference_sweep(coords, dist: DistanceMatrix, rng: np.random.Generator) -> n
         targets = x + d[i][:, None] * (diff / lengths[:, None])
         x[i] = (w[i][:, None] * targets).sum(axis=0) / w[i].sum()
     return x
+
+
+def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
+    """Optimal reposition of vertex i with all other vertices held fixed.
+
+    The same arithmetic as one step of smacof_iteration (_offsets and
+    _place), so a sweep equals n of these in index order bit for bit.
+    With a single other vertex the result lands on the ray from that
+    vertex through x_i at exactly the target distance.  Raises on
+    coincident points.
+    """
+    x = as_layout(coords, dist.n)
+    if dist.n < 2:
+        raise ValueError("vertex update needs at least two vertices")
+    z = points(x)
+    diff, lengths = _offsets(i, z)
+    if not lengths.all():
+        raise ValueError(f"vertex {i} coincides with another vertex")
+    zi = _place(z, dist.weights[i], dist.matrix[i], diff, lengths)
+    return np.array([zi.real, zi.imag])
+
+
+def reference_sgd(dist: DistanceMatrix, init, config) -> tuple[np.ndarray, list[float]]:
+    """run_sgd with the whole round table built once and gathered per iteration.
+
+    The random stream is the documented one: per iteration a vertex
+    permutation, a round permutation, then jitter as rounds meet
+    coincident pairs.
+    """
+    x = as_layout(init, dist.n)
+    rng = np.random.default_rng(config.seed)
+    slot_a, slot_b = _rounds(dist.n, np.arange(dist.n - 1 + dist.n % 2))
+    z = points(x)
+    trace = [stress(x, dist)]
+    for eta in step_widths(dist, config):
+        vertex = rng.permutation(dist.n)
+        order = rng.permutation(len(slot_a))
+        a = vertex[slot_a[order]]
+        b = vertex[slot_b[order]]
+        d = dist.matrix[a, b]
+        half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
+        for i, j, d_round, half_round in zip(a, b, d, half_mu):
+            _round(z, i, j, d_round, half_round, rng)
+        trace.append(stress(x, dist))
+    return x, trace

@@ -2,8 +2,16 @@ import csv
 
 import pytest
 
-from stresslayout import bench, cli
-from stresslayout.cli import build_parser, main
+from stresslayout import (
+    all_pairs_shortest_paths,
+    bench,
+    cli,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+)
+from stresslayout.cli import IMPORT_FLOOR, build_parser, main, peak_bytes
+from helpers import random_connected_graph
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
 DISCONNECTED_EDGES = "0 1\n2 3\n"
@@ -363,6 +371,70 @@ class TestInfoCommand:
         assert "components: 2" in out
         assert "largest component: 3" in out
         assert "diameter" in out
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(2), path_graph(17), cycle_graph(12), cycle_graph(13), grid_graph(4, 7),
+         random_connected_graph(40, 8, 1), random_connected_graph(90, 18, 2)],
+    )
+    def test_diameter_equals_distance_matrix_max(self, workdir, capsys, monkeypatch, graph):
+        expected = int(all_pairs_shortest_paths(graph).matrix.max())
+        (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in graph.edges))
+
+        def fail(graph):
+            raise AssertionError("info must not build the distance matrix")
+
+        monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
+        assert main(["info", "g.edges"]) == 0
+        assert f"diameter (largest component): {expected}\n" in capsys.readouterr().out
+
+
+class TestSizeGuard:
+    def test_estimate_terms(self):
+        n = 1000
+        sgd = peak_bytes(n, "sgd")
+        assert sgd == pytest.approx(IMPORT_FLOOR + (8 + 12 + 0.15 * 8) * n * n, abs=1)
+        assert peak_bytes(n, "smacof") == peak_bytes(n, "hybrid")
+        assert peak_bytes(n, "smacof") - sgd == pytest.approx(8 * n * n, abs=1)
+        assert peak_bytes(2 * n, "sgd") > sgd
+
+    def test_limit_is_physical_memory(self):
+        limit = cli.memory_limit()
+        assert limit is None or limit > peak_bytes(2000, "smacof")
+
+    @pytest.mark.parametrize(
+        "argv, n, alg",
+        [
+            (["layout", "grid:20,30", "--alg", "sgd"], 600, "sgd"),
+            (["layout", "grid:20,30", "--alg", "smacof"], 600, "smacof"),
+            (["layout", "grid:20,30", "--alg", "hybrid"], 600, "hybrid"),
+            (["bench", "path:5", "grid:20,30", "cycle:7", "--reps", "1",
+              "--out", "r.csv"], 600, "smacof"),
+            (["hybrid", "grid:20,30", "--reps", "1", "--out", "h.csv"], 600, "smacof"),
+        ],
+    )
+    def test_oversized_exits_1_before_distances(self, workdir, capsys, monkeypatch, argv, n, alg):
+        estimate = peak_bytes(n, alg)
+
+        def fail(graph):
+            raise AssertionError("no distance matrix may be built")
+
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
+        monkeypatch.setattr(bench, "all_pairs_shortest_paths", fail)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"grid_20x30: a run on n = {n} vertices needs about {estimate / 2**20:.0f} MiB" in err
+        assert f"the {(estimate - 1) / 2**20:.0f} MiB of physical memory" in err
+        assert list(workdir.iterdir()) == []
+
+    def test_fits_at_the_limit(self, workdir, monkeypatch):
+        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, "sgd"))
+        assert main(["layout", "grid:3,3", "--alg", "sgd", "--out", "g.svg",
+                     "--trace", "g.csv"]) == 0
+        monkeypatch.setattr(cli, "memory_limit", lambda: None)
+        assert main(["layout", "grid:3,3", "--alg", "smacof", "--out", "g.svg",
+                     "--trace", "g.csv"]) == 0
 
 
 class TestHelp:

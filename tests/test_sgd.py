@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stresslayout import (
     all_pairs_shortest_paths,
     classical_mds,
     cycle_graph,
+    generate,
     grid_graph,
     pair_update,
     path_graph,
@@ -19,8 +21,9 @@ from stresslayout import (
     run_smacof,
     stress,
 )
+from stresslayout import sgd
 from stresslayout.sgd import ITERATIONS, _round, _rounds, step_widths
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_sgd
 
 # (graph, d_max) with d_min = 1 on every one
 GRAPHS = [
@@ -161,7 +164,7 @@ class TestMatchingRounds:
     @given(st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_rounds_partition_all_pairs(self, n):
-        a, b = _rounds(n)
+        a, b = _rounds(n, np.arange(n - 1 + n % 2))
         assert a.shape == b.shape == (n - 1 + n % 2, n // 2)
         for row_a, row_b in zip(a, b):
             slots = np.concatenate((row_a, row_b))
@@ -172,7 +175,7 @@ class TestMatchingRounds:
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_round_equals_sequential_pair_updates(self, n):
         rng = np.random.default_rng(n)
-        a, b = _rounds(n)
+        a, b = _rounds(n, np.arange(n - 1 + n % 2))
         vertex = rng.permutation(n)
         x = rng.normal(scale=3.0, size=(n, 2))
         for row in range(len(a)):
@@ -217,7 +220,7 @@ class TestSgdIteration:
         x0 = random_init(n, 4)
         got, _ = run_sgd(dist, x0, cfg)
         rng = np.random.default_rng(cfg.seed)
-        slot_a, slot_b = _rounds(n)
+        slot_a, slot_b = _rounds(n, np.arange(n - 1 + n % 2))
         x = np.array(x0, dtype=float)
         for eta in step_widths(dist, cfg):
             vertex = rng.permutation(n)
@@ -297,3 +300,35 @@ class TestRunSgd:
         _, ref_trace = run_smacof(dist, classical_mds(dist))
         _, trace = run_sgd(dist, random_init(100, 0), SgdConfig())
         assert abs(trace[-1] / ref_trace[-1] - 1.0) <= 0.02
+
+
+class TestChunkedRounds:
+    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize(
+        "spec, start",
+        [(("grid", 5, 7), "random"), (("cycle", 11), "random"), (("path", 6), "zeros")],
+        ids=["grid_5x7", "cycle_11", "path_6_coincident"],
+    )
+    def test_matches_whole_iteration_gathers(self, monkeypatch, block, spec, start):
+        # a small block splits each iteration into many chunks of rounds
+        dist = all_pairs_shortest_paths(generate(*spec))
+        x0 = random_init(dist.n, 3) if start == "random" else np.zeros((dist.n, 2))
+        config = SgdConfig(seed=3)
+        expected, expected_trace = reference_sgd(dist, x0, config)
+        monkeypatch.setattr(sgd, "STRESS_BLOCK", block)
+        layout, trace = run_sgd(dist, x0, config)
+        assert np.array_equal(layout, expected)
+        assert np.array_equal(trace, expected_trace)
+
+    def test_peak_memory_bounded(self):
+        dist = all_pairs_shortest_paths(grid_graph(20, 30))
+        x0 = random_init(dist.n, 0)
+        config = SgdConfig(iterations=2)
+        run_sgd(dist, x0, config)  # builds the pair table and one-time allocations
+        tracemalloc.start()
+        try:
+            run_sgd(dist, x0, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # no (n - 1) x n / 2 round table or gather

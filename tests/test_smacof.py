@@ -17,10 +17,9 @@ from stresslayout import (
     run_smacof,
     smacof_iteration,
     stress,
-    vertex_update,
 )
 from stresslayout.smacof import _JITTER_SEED, MAX_SWEEPS, REL_TOLERANCE
-from helpers import random_connected_graph, reference_sweep
+from helpers import random_connected_graph, reference_sweep, vertex_update
 
 P2_DIST = all_pairs_shortest_paths(path_graph(2))
 
