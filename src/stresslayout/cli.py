@@ -49,11 +49,16 @@ _SYNTHETIC = re.compile(r"^(path|cycle|grid|complete):(\d+(?:,\d+)*)$")
 # Default SGD iteration count before majorization for layout --alg hybrid.
 SGD_K = 7
 
-# peak_bytes terms besides the held arrays: a process with numpy and this
-# package imported, and the scratch of all_pairs_shortest_paths as a
-# share of its n x n float64 result.
+# peak_bytes terms besides the held arrays: the peak RSS of a run apart
+# from its n x n arrays, and the scratch of all_pairs_shortest_paths as a
+# share of its n x n float64 result.  The floor is the interpreter with
+# numpy and this package (28 MiB) plus what any run adds on top: graph
+# objects, SVG text, optimizer and stress() block scratch.  On x86-64
+# Linux with numpy 2.4, a layout run on grid:3,3 peaks at 35.5 MiB, and
+# runs of either algorithm up to n = 2000 peaked at most 37.6 MiB above
+# their n x n terms.
 MIB = 2**20
-IMPORT_FLOOR = 28 * MIB
+RUN_FLOOR = 38 * MIB
 APSP_TRANSIENT = 0.15
 
 
@@ -206,11 +211,10 @@ def peak_bytes(n: int, algorithm: str) -> int:
     pair table (12 n**2: two int64 indices and one float64 target per
     unordered pair) and, for smacof and hybrid, the majorization weights
     (8 n**2).  On top come the scratch of all_pairs_shortest_paths and
-    the import floor.  Optimizer and stress() scratch is bounded in n
-    and left out.
+    the run floor, which holds everything that does not grow with n**2.
     """
     per_entry = 8 + 12 + 8 * APSP_TRANSIENT + (0 if algorithm == "sgd" else 8)
-    return IMPORT_FLOOR + math.ceil(per_entry * n * n)
+    return RUN_FLOOR + math.ceil(per_entry * n * n)
 
 
 def memory_limit() -> int | None:

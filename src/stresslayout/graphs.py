@@ -70,11 +70,12 @@ class DistanceMatrix:
 
     Also exposes the row-normalized stress weights that majorization
     reads and the table of unordered pairs.  The underlying arrays are
-    read-only; instances are immutable.
+    read-only; instances are immutable.  The matrix is C-ordered, so
+    matrix.ravel() is a view (run_sgd gathers targets from it).
     """
 
     def __init__(self, matrix):
-        self._adopt(np.array(matrix, dtype=float))
+        self._adopt(np.array(matrix, dtype=float, order="C"))
 
     @classmethod
     def _owning(cls, d: np.ndarray) -> "DistanceMatrix":

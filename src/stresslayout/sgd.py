@@ -5,10 +5,11 @@ endpoints along their connecting line so the pair distance gets closer to
 the target.  The pairs come in the n - 1 disjoint matching rounds of a
 circle-method round robin (n rounds for odd n), so one vectorized step per
 round equals a sequential sweep in some order; each iteration draws that
-order afresh.  The rounds' slot rows come from the circle formula a chunk
-of rounds at a time, about STRESS_BLOCK pairs each, so a run's scratch
-memory beyond the distance matrix and its pair table does not grow with
-n.  A seed's random stream is fixed per version of this sweep.
+order afresh.  The rounds' vertex rows are gathered a chunk of rounds at
+a time, about STRESS_BLOCK pairs each, from windows over the doubled ring
+of slots, so a run's scratch memory beyond the distance matrix and its
+pair table does not grow with n.  A seed's random stream is fixed per
+version of this sweep.
 The per-pair step width is
 
     mu(t) = min(1, eta(t) / d_ij**2)
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphs import DistanceMatrix
 from .stress import STRESS_BLOCK, as_layout, points, separate, stress
@@ -89,25 +91,38 @@ def pair_update(p, q, d: float, mu: float):
     return p - move, q + move
 
 
-def _rounds(n: int, rounds):
-    """Slot rows of the given rounds of a circle-method round robin.
+def _round_rows(vertex):
+    """Row builder for a circle-method round robin over the slots of vertex.
 
-    Over rounds 0..m - 2, with m = n rounded up to even, every unordered
-    slot pair occurs in exactly one round.  Returns slot arrays (a, b) of
-    shape (len(rounds), m // 2); row r pairs a[r, k] with b[r, k], and no
-    slot occurs twice in a row.  Slot m - 1 stays fixed and meets the
-    rotating slot r in column 0.  For odd n that fixed slot is a bye, so
-    column 0 is dropped.
+    With m = n rounded up to even, round r (0 <= r <= m - 2) pairs slot
+    (r + k) % (m - 1) with slot (r - k) % (m - 1) for k = 1 .. m/2 - 1,
+    and slot r with the fixed slot m - 1, a bye for odd n.  Every
+    unordered slot pair occurs in exactly one round, and no slot occurs
+    twice in a round.  Around the ring of slots 0 .. m - 2, a round's
+    two rows are the m/2 entries forward and backward from slot r, so
+    both are windows over the ring doubled up to its wrap.  Returns
+    rows(rounds), which gathers the vertex arrays (a, b) of shape
+    (len(rounds), n // 2) with one indexing each; row r pairs a[r, k]
+    with b[r, k].
     """
+    n = len(vertex)
     m = n + n % 2
-    r = np.asarray(rounds)[:, None]
-    k = np.arange(m // 2)
-    a = (r + k) % (m - 1)
-    b = (r - k) % (m - 1)
-    b[:, 0] = m - 1
-    if n % 2:
-        return a[:, 1:], b[:, 1:]
-    return a, b
+    half = m // 2
+    ring = vertex[:m - 1]
+    back = ring[::-1]
+    skip = n % 2  # the bye column
+    ahead = sliding_window_view(np.concatenate((ring, ring[:half - 1]))[skip:], half - skip)
+    behind = sliding_window_view(np.concatenate((back, back[:half - 1]))[skip:], half - skip)
+    behind = behind[::-1]  # backward window m - 2 - r starts at slot r
+
+    def rows(rounds):
+        a = ahead[rounds]
+        b = behind[rounds]
+        if not skip:
+            b[:, 0] = vertex[m - 1]
+        return a, b
+
+    return rows
 
 
 def _round(z, i, j, d, half_mu, rng):
@@ -115,13 +130,13 @@ def _round(z, i, j, d, half_mu, rng):
 
     half_mu holds 0.5 * mu per pair.  No vertex occurs twice in i and j
     together, so the result equals pair_update on each pair in turn, in
-    any order.  Coincident pairs are first nudged apart by
-    stress.separate, one angle per pair from rng.
+    any order.  Coincident pairs, found by counting nonzero lengths, are
+    first nudged apart by stress.separate, one angle per pair from rng.
     """
     zi, zj = z[i], z[j]
     delta = zi - zj
     length = np.abs(delta)
-    if not length.all():
+    if np.count_nonzero(length) < len(length):
         coincident = length == 0.0
         separate(z, i[coincident], j[coincident], rng)
         zi, zj = z[i], z[j]
@@ -150,9 +165,11 @@ def run_sgd(
     the round-robin slots, a permutation of the rounds, then one jitter
     angle per coincident pair as the rounds meet them.
     Each iteration takes the permuted rounds in chunks of about
-    STRESS_BLOCK pairs and gathers targets and steps for one chunk at a
-    time, so scratch memory stays bounded as n grows; the chunking does
-    not change the random stream or the result.
+    STRESS_BLOCK pairs.  Per chunk it gathers the vertex rows from
+    windows over the doubled slot ring (_round_rows), then the targets
+    from the flat distance matrix, so scratch memory stays bounded as n
+    grows; neither the chunking nor the windows change the random stream
+    or the result.
     The rounds move a copy of init in place through stress.points, and
     ``callback(t, layout)`` gets a copy of it after each 1-based iteration t.
     """
@@ -166,16 +183,16 @@ def run_sgd(
     m = dist.n + dist.n % 2
     rounds = m - 1
     chunk = max(1, STRESS_BLOCK // (m // 2))  # rounds per gather
+    flat = dist.matrix.ravel()
     z = points(x)
     trace = [stress(x, dist)]
     for t, eta in enumerate(widths[:steps]):
         vertex = rng.permutation(dist.n)
         order = rng.permutation(rounds)
+        rows = _round_rows(vertex)
         for start in range(0, rounds, chunk):
-            slot_a, slot_b = _rounds(dist.n, order[start:start + chunk])
-            a = vertex[slot_a]
-            b = vertex[slot_b]
-            d = dist.matrix[a, b]
+            a, b = rows(order[start:start + chunk])
+            d = flat.take(a * dist.n + b)
             half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
             for i, j, d_round, half_round in zip(a, b, d, half_mu):
                 _round(z, i, j, d_round, half_round, rng)

@@ -6,8 +6,9 @@ iteration, finite differences vs the analytic gradient, rotation grid
 search vs the closed-form similarity fit, an (n, 2) weighted-average
 majorization sweep vs the complex-coordinate one, the dense (n, n)
 gradient formula vs the sum over the pair table, one math.fsum over
-all pair terms vs stress's blocked integer-bin sum, and whole-iteration
-gathers from a full round table vs run_sgd's chunked ones.
+all pair terms vs stress's blocked integer-bin sum, and the modulo
+circle formula with whole-iteration gathers from a full round table vs
+run_sgd's chunked window gathers over the slot ring.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from stresslayout import DistanceMatrix, Graph, stress
-from stresslayout.sgd import _round, _rounds, step_widths
+from stresslayout.sgd import _round, step_widths
 from stresslayout.smacof import _offsets, _place
 from stresslayout.stress import JITTER_EPSILON, as_layout, points
 
@@ -203,6 +204,25 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     return np.array([zi.real, zi.imag])
 
 
+def circle_rounds(n: int, rounds):
+    """Slot rows of the given rounds of a circle-method round robin.
+
+    The textbook formula, with m = n rounded up to even: row r pairs slot
+    (r + k) % (m - 1) with slot (r - k) % (m - 1) for k = 0 .. m/2 - 1,
+    except that slot m - 1 stays fixed and meets slot r in column 0.
+    For odd n that fixed slot is a bye, so column 0 is dropped.
+    """
+    m = n + n % 2
+    r = np.asarray(rounds)[:, None]
+    k = np.arange(m // 2)
+    a = (r + k) % (m - 1)
+    b = (r - k) % (m - 1)
+    b[:, 0] = m - 1
+    if n % 2:
+        return a[:, 1:], b[:, 1:]
+    return a, b
+
+
 def reference_sgd(dist: DistanceMatrix, init, config) -> tuple[np.ndarray, list[float]]:
     """run_sgd with the whole round table built once and gathered per iteration.
 
@@ -212,7 +232,7 @@ def reference_sgd(dist: DistanceMatrix, init, config) -> tuple[np.ndarray, list[
     """
     x = as_layout(init, dist.n)
     rng = np.random.default_rng(config.seed)
-    slot_a, slot_b = _rounds(dist.n, np.arange(dist.n - 1 + dist.n % 2))
+    slot_a, slot_b = circle_rounds(dist.n, np.arange(dist.n - 1 + dist.n % 2))
     z = points(x)
     trace = [stress(x, dist)]
     for eta in step_widths(dist, config):

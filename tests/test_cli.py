@@ -10,7 +10,7 @@ from stresslayout import (
     grid_graph,
     path_graph,
 )
-from stresslayout.cli import IMPORT_FLOOR, build_parser, main, peak_bytes
+from stresslayout.cli import RUN_FLOOR, build_parser, main, peak_bytes
 from helpers import random_connected_graph
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -393,7 +393,7 @@ class TestSizeGuard:
     def test_estimate_terms(self):
         n = 1000
         sgd = peak_bytes(n, "sgd")
-        assert sgd == pytest.approx(IMPORT_FLOOR + (8 + 12 + 0.15 * 8) * n * n, abs=1)
+        assert sgd == pytest.approx(RUN_FLOOR + (8 + 12 + 0.15 * 8) * n * n, abs=1)
         assert peak_bytes(n, "smacof") == peak_bytes(n, "hybrid")
         assert peak_bytes(n, "smacof") - sgd == pytest.approx(8 * n * n, abs=1)
         assert peak_bytes(2 * n, "sgd") > sgd

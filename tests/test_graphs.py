@@ -318,6 +318,14 @@ class TestDistanceMatrix:
         assert d.matrix[0, 1] == 1.0
         assert not np.shares_memory(owned, d.matrix)
 
+    def test_c_ordered_from_fortran_input(self):
+        # run_sgd takes targets from matrix.ravel(), which must not copy
+        d = all_pairs_shortest_paths(grid_graph(3, 4)).matrix
+        matrix = DistanceMatrix(np.asfortranarray(d)).matrix
+        assert matrix.flags.c_contiguous
+        assert np.shares_memory(matrix.ravel(), matrix)
+        assert np.array_equal(matrix, d)
+
     def test_pair_table(self):
         d = all_pairs_shortest_paths(grid_graph(3, 4))
         i, j, targets = d.pairs

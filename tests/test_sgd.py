@@ -22,8 +22,8 @@ from stresslayout import (
     stress,
 )
 from stresslayout import sgd
-from stresslayout.sgd import ITERATIONS, _round, _rounds, step_widths
-from helpers import random_connected_graph, reference_sgd
+from stresslayout.sgd import ITERATIONS, _round, _round_rows, step_widths
+from helpers import circle_rounds, random_connected_graph, reference_sgd
 
 # (graph, d_max) with d_min = 1 on every one
 GRAPHS = [
@@ -164,7 +164,7 @@ class TestMatchingRounds:
     @given(st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_rounds_partition_all_pairs(self, n):
-        a, b = _rounds(n, np.arange(n - 1 + n % 2))
+        a, b = _round_rows(np.arange(n))(np.arange(n - 1 + n % 2))
         assert a.shape == b.shape == (n - 1 + n % 2, n // 2)
         for row_a, row_b in zip(a, b):
             slots = np.concatenate((row_a, row_b))
@@ -172,14 +172,24 @@ class TestMatchingRounds:
         pairs = sorted(zip(np.minimum(a, b).ravel().tolist(), np.maximum(a, b).ravel().tolist()))
         assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_window_rows_equal_circle_formula(self, n, seed):
+        rng = np.random.default_rng(seed)
+        vertex = rng.permutation(n)
+        rounds = rng.permutation(n - 1 + n % 2)
+        a, b = _round_rows(vertex)(rounds)
+        slot_a, slot_b = circle_rounds(n, rounds)
+        assert np.array_equal(a, vertex[slot_a])
+        assert np.array_equal(b, vertex[slot_b])
+
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_round_equals_sequential_pair_updates(self, n):
         rng = np.random.default_rng(n)
-        a, b = _rounds(n, np.arange(n - 1 + n % 2))
         vertex = rng.permutation(n)
+        a, b = _round_rows(vertex)(np.arange(n - 1 + n % 2))
         x = rng.normal(scale=3.0, size=(n, 2))
-        for row in range(len(a)):
-            i, j = vertex[a[row]], vertex[b[row]]
+        for i, j in zip(a, b):
             d = rng.uniform(0.5, 10.0, len(i))
             mu = rng.uniform(0.0, 1.0, len(i))
             expected = x.copy()
@@ -220,7 +230,7 @@ class TestSgdIteration:
         x0 = random_init(n, 4)
         got, _ = run_sgd(dist, x0, cfg)
         rng = np.random.default_rng(cfg.seed)
-        slot_a, slot_b = _rounds(n, np.arange(n - 1 + n % 2))
+        slot_a, slot_b = circle_rounds(n, np.arange(n - 1 + n % 2))
         x = np.array(x0, dtype=float)
         for eta in step_widths(dist, cfg):
             vertex = rng.permutation(n)
@@ -303,14 +313,18 @@ class TestRunSgd:
 
 
 class TestChunkedRounds:
-    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize("block", [1, 64, sgd.STRESS_BLOCK])
     @pytest.mark.parametrize(
         "spec, start",
-        [(("grid", 5, 7), "random"), (("cycle", 11), "random"), (("path", 6), "zeros")],
-        ids=["grid_5x7", "cycle_11", "path_6_coincident"],
+        [(("grid", 5, 7), "random"), (("cycle", 11), "random"), (("path", 6), "zeros"),
+         (("path", 1), "random"), (("path", 2), "random"), (("path", 2), "zeros"),
+         (("path", 3), "random"), (("path", 3), "zeros"), (("grid", 13, 17), "random")],
+        ids=["grid_5x7", "cycle_11", "path_6_coincident", "path_1", "path_2",
+             "path_2_coincident", "path_3", "path_3_coincident", "grid_13x17"],
     )
     def test_matches_whole_iteration_gathers(self, monkeypatch, block, spec, start):
-        # a small block splits each iteration into many chunks of rounds
+        # a small block splits each iteration into many chunks of rounds; the
+        # default one splits grid_13x17's 221 rounds into 147 and 74
         dist = all_pairs_shortest_paths(generate(*spec))
         x0 = random_init(dist.n, 3) if start == "random" else np.zeros((dist.n, 2))
         config = SgdConfig(seed=3)
