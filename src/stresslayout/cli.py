@@ -1,8 +1,9 @@
 """Command-line front end: lay out graphs, run benchmark grids, render SVG.
 
-Exit codes: 0 success, 1 malformed input or a graph too large for this
-machine's memory, 2 disconnected input under --strict (or usage errors
-from argparse), 3 I/O failure.
+Exit codes: 0 success, 1 malformed input, a graph too large for this
+machine's memory or an eigensolver (--init cmds|pivot) that does not
+converge, 2 disconnected input under --strict (or usage errors from
+argparse), 3 I/O failure.
 
 Inputs are files (.mtx Matrix Market, anything else edge list, override
 with --format) or synthetic specifiers like ``path:100``, ``cycle:100``,
@@ -53,12 +54,13 @@ SGD_K = 7
 # from its n x n arrays, and the scratch of all_pairs_shortest_paths as a
 # share of its n x n float64 result.  The floor is the interpreter with
 # numpy and this package (28 MiB) plus what any run adds on top: graph
-# objects, SVG text, optimizer and stress() block scratch.  On x86-64
-# Linux with numpy 2.4, a layout run on grid:3,3 peaks at 35.5 MiB, and
-# runs of either algorithm up to n = 2000 peaked at most 37.6 MiB above
-# their n x n terms.
+# objects, SVG text, optimizer and stress() block scratch, and the BLAS
+# buffers and LAPACK code the spectral initializers touch.  On x86-64
+# Linux with numpy 2.4 (OpenBLAS, two threads), a layout run on grid:3,3
+# peaks at 35.5 MiB, and runs of either algorithm from any initializer
+# up to n = 2000 peaked at most 40.3 MiB above their n x n terms.
 MIB = 2**20
-RUN_FLOOR = 38 * MIB
+RUN_FLOOR = 41 * MIB
 APSP_TRANSIENT = 0.15
 
 
@@ -77,7 +79,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # GraphFormatError and DisconnectedGraphError among them
+    except ValueError as exc:  # GraphFormatError, DisconnectedGraphError, PowerIterationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

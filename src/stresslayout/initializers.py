@@ -3,9 +3,10 @@
 Classical MDS double-centers the squared distance matrix and embeds along
 the top two eigenvectors, scaled by the square roots of the eigenvalues.
 PivotMDS approximates it from distances to k pivot vertices only, which
-needs k BFS traversals instead of a full distance matrix.  Both use power
-iteration with deflation and share a sign convention (first nonzero
-component of each direction positive) so repeated runs are bit-identical.
+needs k BFS traversals instead of a full distance matrix.  Both take their
+top two eigenpairs from one two-column orthogonal iteration (_top2) and
+share a sign convention (first nonzero component of each direction
+positive), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import numpy as np
 
 from .graphs import DisconnectedGraphError, DistanceMatrix, Graph, bfs_hops
 
-# Fixed stream for power-iteration start vectors: deterministic, and fresh
-# draws per eigenpair so a deflated matrix never restarts exactly
-# orthogonal to its dominant eigenvector.
+# Fixed stream for the eigensolver's start vectors: deterministic, with
+# fresh draws for the shifted restart, because the vectors the unshifted
+# iteration converged to can lack a tied top direction entirely.
 _POWER_SEED = 0x9E3779B9
 
 _SIGN_EPS = 1e-12
 
-# Power-iteration stopping rule; see _power_iteration.
+# Eigensolver stopping rule; see _top2.
 POWER_TOLERANCE = 1e-9
 POWER_MAX_ITERS = 100_000
 
@@ -32,12 +33,8 @@ POWER_MAX_ITERS = 100_000
 PIVOTS = 100
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration ran out of iterations; .partial holds the layout so far."""
-
-    def __init__(self, message: str, partial: np.ndarray):
-        super().__init__(message)
-        self.partial = partial
+class PowerIterationError(ValueError):
+    """The eigensolver ran out of iterations (the CLI exits 1)."""
 
 
 @dataclass(frozen=True)
@@ -57,49 +54,45 @@ def random_init(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 2))
 
 
-def _power_iteration(matrix, rng, scale=None):
-    """Dominant eigenpair of a symmetric matrix.
+def _top2(matrix):
+    """Two largest eigenpairs of a symmetric matrix: the eigenvalues in
+    descending order and their unit eigenvectors as the rows of a (2, n)
+    array.
 
-    Stops when the residual |Av - lambda v| drops below POWER_TOLERANCE *
-    scale (scale defaults to |lambda|), or after POWER_MAX_ITERS steps.
-    The residual bound, rather than the raw direction change per step, is
-    what controls the embedding error when eigenvalues are nearly tied.
-    Returns (lambda, v, converged).
+    Orthogonal iteration on two vectors: orthonormalize (QR), multiply,
+    and rotate by the eigenvectors of the projected 2 x 2 matrix
+    (Rayleigh-Ritz).  Each Ritz pair converges at the ratio of the third
+    eigenvalue to its own, so a near tie between the top two costs
+    nothing.  Stops when both residuals |Av - lambda v| are at most
+    POWER_TOLERANCE * max |lambda|; the residual, not the change per
+    step, is what bounds the embedding error.  The iteration finds the
+    two eigenvalues of largest magnitude, so if one of them is negative
+    beyond the tolerance it is the smallest, and the iteration restarts
+    from fresh vectors on the matrix shifted by it (applied per product,
+    not copied), whose top two are the largest.  Raises
+    PowerIterationError after POWER_MAX_ITERS steps.
     """
-    v = rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        w = matrix @ v
-        lam = float(v @ w)
-        bound = POWER_TOLERANCE * max(abs(lam) if scale is None else scale, 1e-300)
-        if np.linalg.norm(w - lam * v) <= bound:
-            return lam, v, True
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-300:
-            return 0.0, v, True
-        v = w / norm_w
-    return lam, v, False
-
-
-def _top2(matrix, shifted=False):
-    """Two largest eigenpairs, by descending eigenvalue: power iteration
-    with deflation finds the two of largest magnitude, so if one of them is
-    negative beyond the solver tolerance (the smallest eigenvalue) the
-    matrix is shifted by it to make every eigenvalue nonnegative and solved
-    again."""
     rng = np.random.default_rng(_POWER_SEED)
-    lam1, v1, ok1 = _power_iteration(matrix, rng)
-    deflated = matrix - lam1 * np.outer(v1, v1)
-    lam2, v2, ok2 = _power_iteration(deflated, rng, scale=abs(lam1))
-    pairs = sorted([(lam1, v1), (lam2, v2)], key=lambda p: -p[0])
-    low = pairs[1][0]
-    if shifted or low >= -POWER_TOLERANCE * abs(lam1):
-        return pairs, ok1 and ok2
-    matrix = matrix.copy()
-    matrix.flat[:: len(matrix) + 1] -= low
-    pairs, ok = _top2(matrix, shifted=True)
-    return [(lam + low, v) for lam, v in pairs], ok1 and ok2 and ok
+    shift = 0.0
+    while True:
+        w = rng.standard_normal((2, len(matrix)))
+        for _ in range(POWER_MAX_ITERS):
+            v = np.linalg.qr(w.T)[0].T
+            # v @ matrix is (matrix @ v.T).T for a symmetric matrix, and
+            # cheaper as a product with a 2 x n left factor
+            w = v @ matrix - shift * v
+            lam, rotation = np.linalg.eigh(w @ v.T)  # ascending
+            v, w = rotation.T @ v, rotation.T @ w
+            bound = POWER_TOLERANCE * np.abs(lam).max()
+            if (np.linalg.norm(w - lam[:, None] * v, axis=1) <= bound).all():
+                break
+        else:
+            raise PowerIterationError(
+                f"eigensolver did not converge within {POWER_MAX_ITERS} iterations"
+            )
+        if shift or lam[0] >= -bound:
+            return lam[::-1] + shift, v[::-1]
+        shift = lam[0]
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -115,22 +108,12 @@ def classical_mds(dist: DistanceMatrix) -> np.ndarray:
 
     Double-centers the entrywise-squared matrix and returns, per vertex,
     the top-2 eigenvector components scaled by sqrt(max(eigenvalue, 0)).
-    Raises PowerIterationError (carrying the partial layout) if the
-    eigensolver does not converge.
+    Raises PowerIterationError if the eigensolver does not converge.
     """
     if dist.n < 2:
         raise ValueError("classical MDS needs at least two vertices")
-    b = _double_center(dist.matrix**2)
-    pairs, converged = _top2(b)
-    columns = [
-        _fix_sign(v) * math.sqrt(max(lam, 0.0)) for lam, v in pairs
-    ]
-    layout = np.column_stack(columns)
-    if not converged:
-        raise PowerIterationError(
-            f"eigensolver did not converge within {POWER_MAX_ITERS} iterations", layout
-        )
-    return layout
+    lam, v = _top2(_double_center(dist.matrix**2))
+    return np.column_stack([_fix_sign(u) * math.sqrt(max(l, 0.0)) for l, u in zip(lam, v)])
 
 
 def _pivots_with_rows(graph, k, seed):
@@ -160,37 +143,36 @@ def pivot_mds(graph: Graph, config: PivotConfig = PivotConfig()) -> np.ndarray:
     Uses min(config.k, n) pivots.  The squared pivot-distance columns are
     double-centered and the layout read off the top-2 left singular
     directions, column-scaled to match classical MDS when every vertex is
-    a pivot.
+    a pivot.  One pivot's double-centered column is zero, so with k = 1
+    every vertex sits at the origin.
     """
     n = graph.n
     if n < 2:
         raise ValueError("PivotMDS needs at least two vertices")
-    _, rows = _pivots_with_rows(graph, min(config.k, n), config.seed)
+    k = min(config.k, n)
+    _, rows = _pivots_with_rows(graph, k, config.seed)
+    if k == 1:
+        return np.zeros((n, 2))
     c = _double_center(np.array(rows).T ** 2)  # (n, k)
-    pairs, converged = _top2(c.T @ c)
     columns = []
-    for _, v in pairs:
+    for v in _top2(c.T @ c)[1]:
         cv = c @ v
         sigma = float(np.linalg.norm(cv))
         if sigma < 1e-300:
             columns.append(np.zeros(n))
             continue
         columns.append(_fix_sign(cv / sigma) * math.sqrt(sigma))
-    layout = np.column_stack(columns)
-    if not converged:
-        raise PowerIterationError(
-            f"eigensolver did not converge within {POWER_MAX_ITERS} iterations", layout
-        )
-    return layout
+    return np.column_stack(columns)
 
 
 def _double_center(squared: np.ndarray) -> np.ndarray:
-    return -0.5 * (
-        squared
-        - squared.mean(axis=0, keepdims=True)
-        - squared.mean(axis=1, keepdims=True)
-        + squared.mean()
-    )
+    """-0.5 * (squared - column means - row means + mean), in place: the
+    row means of the column-centered matrix are the row means less the
+    mean."""
+    squared -= squared.mean(axis=0, keepdims=True)
+    squared -= squared.mean(axis=1, keepdims=True)
+    squared *= -0.5
+    return squared
 
 
 def _hops_row(graph: Graph, source: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -105,13 +106,14 @@ class TestLayoutCommand:
         assert list(workdir.iterdir()) == []
 
     def test_snapshots_not_reached_are_reported(self, workdir, capsys):
-        # path:4 from classical MDS is exact: majorization stops after one sweep
-        code = main(["layout", "path:4", "--alg", "smacof", "--init", "cmds",
-                     "--snapshots", "1,2,400", "--out", "g.svg", "--trace", "g.csv"])
+        # one sweep places path:2's two vertices exactly (stress 0.0 from
+        # this seed), so majorization stops after its second sweep
+        code = main(["layout", "path:2", "--alg", "smacof", "--init", "random", "--seed", "0",
+                     "--snapshots", "1,3,400", "--out", "g.svg", "--trace", "g.csv"])
         assert code == 0
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "--snapshots" in line] == [
-            "warning: --snapshots 2,400 not rendered: the run stopped after 1 iterations"
+            "warning: --snapshots 3,400 not rendered: the run stopped after 2 iterations"
         ]
         assert sorted(p.name for p in workdir.iterdir()) == ["g.csv", "g.iter1.svg", "g.svg"]
 
@@ -180,6 +182,13 @@ class TestLayoutCommand:
         code = main(["layout", "grid:4,4", "--alg", "smacof", "--init", "pivot",
                      "--pivots", "6", "--out", "p.svg", "--trace", "p.csv"])
         assert code == 0
+
+    def test_one_pivot(self, workdir):
+        # one pivot starts every vertex at the origin; majorization separates them
+        code = main(["layout", "grid:4,4", "--alg", "smacof", "--init", "pivot",
+                     "--pivots", "1", "--out", "p.svg", "--trace", "p.csv"])
+        assert code == 0
+        assert math.isfinite(final_stress_from_trace("p.csv"))
 
     @pytest.mark.parametrize("alg", ["sgd", "smacof"])
     def test_zero_iterations_rejected(self, workdir, capsys, alg):

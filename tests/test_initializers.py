@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from stresslayout import (
     pivot_mds,
     procrustes_error,
     random_init,
+    stress,
 )
 from stresslayout import initializers
+from stresslayout.cli import main
 from stresslayout.initializers import _pivots_with_rows
 from helpers import (
     cmds_eigh_oracle,
@@ -125,12 +128,44 @@ class TestClassicalMds:
         for column, eigenvalue in zip(layout.T, top):
             assert np.allclose(matrix @ column, eigenvalue * column, atol=1e-6)
 
-    def test_non_convergence_signals_with_partial(self, monkeypatch):
+    def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(initializers, "POWER_MAX_ITERS", 1)
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
-        with pytest.raises(PowerIterationError) as info:
+        with pytest.raises(PowerIterationError):
             classical_mds(dist)
-        assert info.value.partial.shape == (9, 2)
+
+    def test_non_convergence_exits_1_without_traceback(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(initializers, "POWER_MAX_ITERS", 1)
+        code = main(["layout", "grid:4,4", "--init", "cmds",
+                     "--out", str(tmp_path / "g.svg"), "--trace", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: eigensolver did not converge")
+        assert "Traceback" not in err
+
+    def test_near_tie_of_top_two(self, monkeypatch):
+        # grid:20,20 minus one edge: the top two eigenvalues differ by
+        # 3.7e-4 relative; a solver converging at their ratio needs far
+        # more than 1000 steps
+        monkeypatch.setattr(initializers, "POWER_MAX_ITERS", 1000)
+        g = grid_graph(20, 20)
+        g = Graph.from_edges(g.n, [e for e in g.edges if e != (0, 1)])
+        dist = all_pairs_shortest_paths(g)
+        eigs = top_eigenvalues(dist, 2)
+        assert 0 < eigs[0] - eigs[1] < 1e-3 * eigs[0]
+        assert procrustes_error(classical_mds(dist), cmds_eigh_oracle(dist)) <= 1e-6
+
+    def test_peak_memory_one_matrix(self):
+        dist = all_pairs_shortest_paths(grid_graph(20, 30))
+        classical_mds(dist)  # one-time allocations
+        tracemalloc.start()
+        try:
+            classical_mds(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the squared matrix, double-centered in place, is the only n x n array
+        assert peak <= 1.25 * dist.matrix.nbytes
 
 
 def choose_pivots(graph, k, seed):
@@ -198,6 +233,23 @@ class TestPivotMds:
         g = path_graph(5)
         layout = pivot_mds(g, PivotConfig(k=50, seed=0))
         assert np.array_equal(layout, pivot_mds(g, PivotConfig(k=5, seed=0)))
+
+    def test_all_pivots_on_path_is_exact(self):
+        # path:100 is exactly realizable on a line: the second column
+        # must carry no residue of the first
+        g = path_graph(100)
+        dist = all_pairs_shortest_paths(g)
+        for seed in (0, 1, 2):
+            assert stress(pivot_mds(g, PivotConfig(k=100, seed=seed)), dist) <= 1e-20
+
+    def test_two_points(self):
+        layout = pivot_mds(path_graph(2), PivotConfig(k=2))
+        assert math.hypot(*(layout[0] - layout[1])) == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(layout[:, 1]).max() < 1e-6
+
+    def test_one_pivot_places_every_vertex_at_origin(self):
+        layout = pivot_mds(grid_graph(4, 4), PivotConfig(k=1))
+        assert np.array_equal(layout, np.zeros((16, 2)))
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
