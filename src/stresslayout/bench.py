@@ -93,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.base_seed < 0:
+            raise ValueError(f"--base-seed: seeds must be nonnegative, got {self.base_seed}")
         SgdConfig(self.sgd_iterations, self.sgd_eps)  # raises on an out-of-range value
         for kind, flag, names, known in (("algorithm", "--algs", self.algorithms, ALGORITHMS),
                                          ("initializer", "--inits", self.initializers, INITIALIZERS)):

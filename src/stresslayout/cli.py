@@ -52,13 +52,19 @@ SGD_K = 7
 
 # peak_bytes terms besides the held arrays: the peak RSS of a run apart
 # from its n x n arrays, and the scratch of all_pairs_shortest_paths as a
-# share of its n x n float64 result.  The floor is the interpreter with
-# numpy and this package (28 MiB) plus what any run adds on top: graph
-# objects, SVG text, optimizer and stress() block scratch, and the BLAS
-# buffers and LAPACK code the spectral initializers touch.  On x86-64
-# Linux with numpy 2.4 (OpenBLAS, two threads), a layout run on grid:3,3
-# peaks at 35.5 MiB, and runs of either algorithm from any initializer
-# up to n = 2000 peaked at most 40.3 MiB above their n x n terms.
+# share of its n x n float64 result.  That scratch peaks in the boolean
+# masks DistanceMatrix validates with (n**2 bytes, 0.125 of the result);
+# the block BFS before them holds a few times max(2**13, n**2 / 64) int64
+# entries, under 0.1 of the result from n = 724 on and under 0.5 MiB
+# below (tracemalloc: 1.13 x the result on grid:40,50).  The floor is
+# the interpreter with numpy and this package (28 MiB) plus what any run
+# adds on top: graph objects, SVG text, optimizer and stress() block
+# scratch, and the BLAS buffers and LAPACK code the spectral initializers
+# touch.  On x86-64 Linux with numpy 2.4 (OpenBLAS, two threads), a
+# layout run on grid:3,3 peaks at 35.5 MiB, runs of either algorithm
+# from any initializer up to n = 2000 peaked at most 40.3 MiB above
+# their n x n terms, and layout grid:40,50 peaks at 117.8 MiB (sgd) and
+# 148.3 MiB (smacof, --iters 3) against estimates of 121.9 and 152.4.
 MIB = 2**20
 RUN_FLOOR = 41 * MIB
 APSP_TRANSIENT = 0.15
@@ -298,6 +304,8 @@ def cmd_layout(args) -> int:
         iters = MAX_SWEEPS if args.alg == "smacof" else ITERATIONS
     if iters < 1:
         raise ValueError(f"--iters must be at least 1, got {iters}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     sgd_config = SgdConfig(iters, EPS if args.eps is None else args.eps, args.seed)
     pivots = PivotConfig(k=PIVOTS if args.pivots is None else args.pivots, seed=args.seed)
     sgd_k = SGD_K if args.sgd_k is None else args.sgd_k

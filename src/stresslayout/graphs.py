@@ -4,13 +4,16 @@ Input graphs come from Matrix Market files (the sparse-matrix benchmark
 format), plain edge lists, or the synthetic generators below.  Everything
 is normalized to a simple undirected graph on vertices [0, n): self-loops
 dropped, duplicate/reversed edges merged.  Distances are unweighted hop
-counts computed by one BFS per source vertex.
+counts: all_pairs_shortest_paths runs a level-synchronous numpy BFS over
+blocks of sources and fills the rows of an independent set from their
+neighbours' rows; bfs_hops answers one source at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -281,22 +284,129 @@ def bfs_hops(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
-    """Hop-count distance matrix via one BFS per vertex.
+    """Hop-count distance matrix of a connected graph.
 
-    Raises DisconnectedGraphError on the first unreachable pair; callers
-    should reduce to a connected component first.
+    Every row outside a greedy independent set comes from a
+    level-synchronous BFS over a block of sources (_bfs_block); each row
+    of the set is then one plus the elementwise minimum of its
+    neighbours' rows, since a shortest path from s leaves s through a
+    neighbour.  Besides the result and a CSR copy of the adjacency,
+    scratch stays within a few times _scratch_entries(n) entries.
+
+    Raises DisconnectedGraphError naming the first unreachable pair
+    (lowest source, then lowest target); callers should reduce to a
+    connected component first.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("graph must have at least one vertex")
-    d = np.empty((g.n, g.n))  # every row is written below
-    for s in range(g.n):
-        hops = bfs_hops(g, s)
-        if -1 in hops:
-            raise DisconnectedGraphError(
-                f"vertex {hops.index(-1)} unreachable from vertex {s}"
-            )
-        d[s] = hops
+    degree = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=indptr[-1])
+    csr = (degree, indptr, indices)
+    independent = _independent_set(g)
+    d = np.full((n, n), -1.0)
+    budget = _scratch_entries(n)
+    sources = np.flatnonzero(~independent)
+    block, peak = max(1, budget // n), 1
+    while sources.size:
+        chunk, sources = sources[:block], sources[block:]
+        reached, widest = _bfs_block(d.reshape(-1), chunk, csr, budget)
+        if reached < chunk.size * n:
+            hops = [-1] * n
+            _bfs(g, 0, hops)  # in a disconnected graph source 0 already misses one
+            raise DisconnectedGraphError(f"vertex {hops.index(-1)} unreachable from vertex 0")
+        peak = max(peak, -(-widest // chunk.size))  # widest frontier per source so far
+        block = max(1, budget // peak)
+    del csr, indptr, indices  # gone before DistanceMatrix allocates its checks
+    for s in np.flatnonzero(independent).tolist():
+        row = d[s]
+        first, *rest = g.adjacency[s]
+        np.copyto(row, d[first])
+        for u in rest:
+            np.minimum(row, d[u], out=row)
+        row += 1.0
+        row[s] = 0.0
     return DistanceMatrix._owning(d)
+
+
+def _scratch_entries(n: int) -> int:
+    """BFS frontier and candidate entries handled at once: n**2 / 64, at least 2**13."""
+    return max(1 << 13, n * n // 64)
+
+
+def _independent_set(g: Graph) -> np.ndarray:
+    """Mask of a greedy independent set, taken in ascending degree order.
+
+    Isolated vertices stay out: their rows have no neighbours to fill from.
+    """
+    taken = np.zeros(g.n, dtype=bool)
+    blocked = [False] * g.n
+    for v in sorted(range(g.n), key=lambda v: len(g.adjacency[v])):
+        if not blocked[v] and g.adjacency[v]:
+            taken[v] = True
+            for u in g.adjacency[v]:
+                blocked[u] = True
+    return taken
+
+
+def _bfs_block(flat, sources, csr, budget: int) -> tuple[int, int]:
+    """Level-synchronous BFS from every vertex of sources at once.
+
+    flat is the raveled n x n matrix, -1 in the rows of sources; the hop
+    count from s to v is written at flat[s * n + v], and the frontier
+    holds those flat indices.  Returns the number of entries reached and
+    the widest frontier.
+    """
+    n = csr[0].size
+    frontier = sources * (n + 1)
+    flat.put(frontier, 0.0)
+    reached = widest = frontier.size
+    level = 0.0
+    while frontier.size:
+        level += 1.0
+        frontier = _expand(flat, frontier, level, csr, budget)
+        reached += frontier.size
+        widest = max(widest, frontier.size)
+    return reached, widest
+
+
+def _expand(flat, frontier, level: float, csr, budget: int) -> np.ndarray:
+    """Visit the unvisited neighbours of frontier; return them as the next frontier.
+
+    csr is (degree, indptr, indices).  Frontier entries are expanded a
+    slice at a time, each slice up to budget candidates in all (at least
+    one entry).  Candidates still at -1 in flat are tagged with distinct
+    negative numbers; of several candidates for one entry only one tag
+    reads back, so each entry is kept once and gets level.
+    """
+    degree, indptr, indices = csr
+    vertex = frontier % degree.size
+    ends = degree.take(vertex)
+    ends.cumsum(out=ends)
+    parts = []
+    lo = base = 0
+    while lo < frontier.size:
+        hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
+        top = int(ends[hi - 1])
+        v = vertex[lo:hi]
+        count = degree.take(v)
+        # candidate k of the slice reads indices[k + indptr[v + 1] - ends[j]]
+        cand = indptr[1:].take(v)
+        cand -= ends[lo:hi]
+        cand = cand.repeat(count)
+        cand += np.arange(base, top)
+        cand = indices.take(cand)
+        cand += (frontier[lo:hi] - v).repeat(count)  # s * n
+        cand = cand[flat.take(cand) < 0.0]
+        tags = np.arange(-2.0, -2.0 - cand.size, -1.0)
+        flat.put(cand, tags)
+        cand = cand[flat.take(cand) == tags]
+        flat.put(cand, level)
+        parts.append(cand)
+        lo, base = hi, top
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def path_graph(n: int) -> Graph:

@@ -45,6 +45,8 @@ class PivotConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("pivot count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def random_init(n: int, seed: int) -> np.ndarray:

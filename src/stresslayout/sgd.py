@@ -54,6 +54,8 @@ class SgdConfig:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def step_widths(dist: DistanceMatrix, config: SgdConfig) -> list[float]:

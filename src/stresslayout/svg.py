@@ -36,7 +36,7 @@ def _fit(x):
 def render_svg(coords, graph: Graph, destination) -> None:
     """Write an SVG drawing of the layout to a path or file-like object."""
     x = as_layout(coords, graph.n)
-    fitted = _fit(x)
+    fitted = _fit(x).tolist()  # Python floats: indexing them is cheaper than numpy scalars
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -47,8 +47,8 @@ def render_svg(coords, graph: Graph, destination) -> None:
     ]
     for i, j in graph.edges:
         parts.append(
-            f'<line x1="{fitted[i, 0]:.4f}" y1="{fitted[i, 1]:.4f}" '
-            f'x2="{fitted[j, 0]:.4f}" y2="{fitted[j, 1]:.4f}"/>\n'
+            f'<line x1="{fitted[i][0]:.4f}" y1="{fitted[i][1]:.4f}" '
+            f'x2="{fitted[j][0]:.4f}" y2="{fitted[j][1]:.4f}"/>\n'
         )
     parts.append('</g>\n<g fill="#1f4e99">\n')
     for px, py in fitted:

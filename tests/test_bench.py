@@ -130,6 +130,10 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentConfig(graphs=(), repetitions=0)
 
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(ValueError, match="--base-seed: seeds must be nonnegative, got -5"):
+            ExperimentConfig(graphs=(), base_seed=-5)
+
     @pytest.mark.parametrize(
         "kwargs,fragment", [({"sgd_iterations": 0}, "iterations"), ({"sgd_eps": 1.0}, "eps")]
     )

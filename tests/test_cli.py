@@ -350,6 +350,22 @@ def test_experiment_values_checked_before_loading(workdir, capsys, no_loading, a
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["layout", "path:3", "--seed", "-1"], "--seed"),
+        (["layout", "path:3", "--alg", "smacof", "--init", "pivot", "--seed", "-1"], "--seed"),
+        (["bench", "path:4", "--base-seed", "-5"], "--base-seed"),
+        (["hybrid", "path:4", "--ks", "0", "--base-seed", "-5"], "--base-seed"),
+    ],
+)
+def test_negative_seed_fails_before_loading(workdir, capsys, no_loading, argv, flag):
+    assert main([*argv, "--out", "o", "--trace", "t.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "must be nonnegative" in err
+    assert list(workdir.iterdir()) == []
+
+
 class TestTooFewVertices:
     @pytest.mark.parametrize(
         "argv",

@@ -22,8 +22,28 @@ from stresslayout import (
     parse_matrix_market,
     path_graph,
 )
+from stresslayout import graphs
 from stresslayout.graphs import bfs_hops
 from helpers import floyd_warshall, random_connected_graph
+
+
+def bfs_rows(g):
+    """The distance matrix built from one bfs_hops row per source."""
+    return np.array([bfs_hops(g, s) for s in range(g.n)], dtype=float)
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, leaf) for leaf in range(1, n)])
+
+
+def random_graph(n, extra, seed, bipartite):
+    """random_connected_graph; bipartite keeps only chords that join the tree's two colours."""
+    g = random_connected_graph(n, extra, seed)
+    if not bipartite:
+        return g
+    tree = random_connected_graph(n, 0, seed)  # the same draws build the same tree
+    colour = [hops % 2 for hops in bfs_hops(tree, 0)]
+    return Graph.from_edges(n, [(i, j) for i, j in g.edges if colour[i] != colour[j]])
 
 
 class TestMatrixMarket:
@@ -255,6 +275,60 @@ class TestShortestPaths:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * d.matrix.nbytes  # one n x n array, not a second copy
+
+    @pytest.mark.parametrize("budget", ["default", "one entry"])
+    @given(st.integers(1, 30), st.integers(0, 40), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bfs_rows(self, budget, n, extra, seed, bipartite):
+        g = random_graph(n, extra, seed, bipartite)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget == "one entry":  # one source per block, one frontier entry per slice
+                patch.setattr(graphs, "_scratch_entries", lambda n: 1)
+            assert np.array_equal(all_pairs_shortest_paths(g).matrix, bfs_rows(g))
+
+    @pytest.mark.parametrize("g", [
+        star_graph(9),  # the centre's neighbours are all in the independent set
+        complete_graph(12),
+        path_graph(2),
+        Graph.from_edges(1, []),
+    ], ids=["star", "complete12", "path2", "single"])
+    def test_fixed_shapes_match_bfs_rows(self, g):
+        assert np.array_equal(all_pairs_shortest_paths(g).matrix, bfs_rows(g))
+
+    @pytest.mark.parametrize("budget", ["default", "one entry"])
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, [(0, 1)], "vertex 2 unreachable from vertex 0"),
+        (4, [(0, 1), (2, 3)], "vertex 2 unreachable from vertex 0"),
+        (3, [], "vertex 1 unreachable from vertex 0"),
+    ])
+    def test_disconnected_message_names_first_pair(self, n, edges, message, budget, monkeypatch):
+        if budget == "one entry":
+            monkeypatch.setattr(graphs, "_scratch_entries", lambda n: 1)
+        g = Graph.from_edges(n, edges)
+        if edges:  # vertex 0's row is filled from its neighbour's, not searched
+            assert graphs._independent_set(g)[0]
+        with pytest.raises(DisconnectedGraphError) as error:
+            all_pairs_shortest_paths(g)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("g,dense", [
+        (cycle_graph(600), False),
+        (path_graph(600), False),
+        (star_graph(600), False),
+        (random_connected_graph(600, 150, 7), False),
+        # at n = 500 the 2**13-entry floor of BFS scratch is still a small share of the result
+        (complete_graph(500), True),
+    ], ids=["cycle600", "path600", "star600", "tree_chords600", "complete500"])
+    def test_peak_memory_near_result_on_other_shapes(self, g, dense):
+        csr = 16 * g.m if dense else 0  # the CSR copy of a dense adjacency: 16 bytes per edge
+        all_pairs_shortest_paths(path_graph(3))  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            d = all_pairs_shortest_paths(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * d.matrix.nbytes + csr
 
 
 class TestGenerators:

@@ -197,6 +197,10 @@ class TestChoosePivots:
 
 
 class TestPivotMds:
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+            PivotConfig(seed=-2)
+
     def test_path3_matches_cmds(self):
         g = path_graph(3)
         dist = all_pairs_shortest_paths(g)

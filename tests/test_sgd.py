@@ -51,7 +51,7 @@ class TestSgdConfig:
 
     @pytest.mark.parametrize(
         "kwargs", [{"iterations": 0}, {"iterations": -3}, {"eps": 0.0}, {"eps": 1.0},
-                   {"eps": 1.5}, {"eps": -0.1}]
+                   {"eps": 1.5}, {"eps": -0.1}, {"seed": -1}]
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -54,3 +54,23 @@ class TestRenderSvg:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             render_to_text([[0.0, 0.0]], path_graph(2))
+
+    def test_exact_text_of_fixed_layout(self):
+        # pins the whole document, number formatting included
+        text = render_to_text([[0.0, 0.0], [1.0, 1.0], [7.0, 2.0]], path_graph(3))
+        assert text == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="800" '
+            'viewBox="0 0 800 800">\n'
+            '<rect width="800" height="800" fill="white"/>\n'
+            '<g stroke="#444444" stroke-width="1">\n'
+            '<line x1="40.0000" y1="502.8571" x2="142.8571" y2="400.0000"/>\n'
+            '<line x1="142.8571" y1="400.0000" x2="760.0000" y2="297.1429"/>\n'
+            '</g>\n'
+            '<g fill="#1f4e99">\n'
+            '<circle cx="40.0000" cy="502.8571" r="3.0"/>\n'
+            '<circle cx="142.8571" cy="400.0000" r="3.0"/>\n'
+            '<circle cx="760.0000" cy="297.1429" r="3.0"/>\n'
+            '</g>\n'
+            '</svg>\n'
+        )

@@ -94,13 +94,14 @@ def test_workload_spans_recorded(workload, tmp_path):
 
 
 @pytest.mark.parametrize("argv,count", [
-    (["layout", "grid:5,5", "--alg", "sgd"], 25),
-    (["layout", "grid:5,5", "--alg", "sgd", "--init", "pivot", "--pivots", "3"], 28),
-    (["layout", "cycle:7", "--alg", "smacof", "--init", "cmds"], 7),
+    (["layout", "grid:5,5", "--alg", "sgd"], 0),
+    (["layout", "grid:5,5", "--alg", "sgd", "--init", "pivot", "--pivots", "3"], 3),
+    (["layout", "cycle:7", "--alg", "smacof", "--init", "cmds"], 0),
 ])
 def test_bfs_count_is_distance_queries(argv, count, tmp_path):
-    # one search per distance-matrix row and per pivot; the component scan is not counted
-    assert traced([argv], tmp_path).counts["graphs.bfs_count"] == count
+    # one single-source search per pivot; the distance matrix is built by block BFS
+    # without bfs_hops, and the component scan is not counted either
+    assert traced([argv], tmp_path).counts.get("graphs.bfs_count", 0) == count
 
 
 def test_hybrid_builds_one_distance_matrix(tmp_path):
