@@ -35,6 +35,7 @@ from .graphs import (
     all_pairs_shortest_paths,
     bfs_hops,
     connected_components,
+    family_maker,
     generate,
     largest_connected_component,
     parse_edge_list,
@@ -195,7 +196,9 @@ def _add_experiment_flags(parser) -> None:
 def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfig:
     """The campaign the flags describe, validated before any graph is loaded.
 
-    The largest graph must fit in memory (check_memory) before any cell runs.
+    The graphs load in order, each checked against memory as it loads
+    (_load_connected), so an oversized input stops the campaign before
+    the inputs after it load and before any cell runs.
     """
     config = ExperimentConfig(
         graphs=(),
@@ -206,9 +209,7 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
         sgd_iterations=args.iters,
         sgd_eps=args.eps,
     )
-    graphs = tuple(_load_connected(spec, args.format, args.strict) for spec in specs)
-    name, largest = max(graphs, key=lambda named: named[1].n)
-    check_memory(name, largest.n, algorithms)
+    graphs = tuple(_load_connected(spec, args.format, args.strict, algorithms) for spec in specs)
     return dataclasses.replace(config, graphs=graphs)
 
 
@@ -248,12 +249,19 @@ def check_memory(name: str, n: int, algorithms) -> None:
         )
 
 
+def _synthetic(spec: str) -> tuple[str | None, str | None, list[int]]:
+    """(name, family, sizes) of a synthetic specifier; (None, None, []) for a file path."""
+    match = _SYNTHETIC.match(spec)
+    if match is None:
+        return None, None, []
+    family, sizes = match.group(1), [int(s) for s in match.group(2).split(",")]
+    return f"{family}_" + "x".join(str(s) for s in sizes), family, sizes
+
+
 def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
     """Load a graph from a file path or synthetic specifier."""
-    match = _SYNTHETIC.match(spec)
-    if match:
-        family, sizes = match.group(1), [int(s) for s in match.group(2).split(",")]
-        name = f"{family}_" + "x".join(str(s) for s in sizes)
+    name, family, sizes = _synthetic(spec)
+    if family is not None:
         return name, generate(family, *sizes)
     path = Path(spec)
     text = path.read_text()
@@ -263,8 +271,18 @@ def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
     return path.stem, graph
 
 
-def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Graph]:
-    """Load, reduce to the largest connected component, and require n >= 2."""
+def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tuple[str, Graph]:
+    """Load, reduce to the largest connected component, require n >= 2,
+    and fail fast if a run on it cannot fit in memory.
+
+    The one caller of check_memory: synthetic graphs are connected, so a
+    spec is checked at the n it implies before generate builds it, and a
+    file after parsing and reduction.
+    """
+    name, family, sizes = _synthetic(spec)
+    if family is not None:
+        family_maker(family, len(sizes))  # a wrong arity stops here, with generate's message
+        check_memory(name, math.prod(sizes), algorithms)
     name, graph = load_graph(spec, fmt)
     components = connected_components(graph)
     if len(components) > 1:
@@ -279,6 +297,8 @@ def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Grap
             file=sys.stderr,
         )
         graph = reduced
+    if family is None:
+        check_memory(name, graph.n, algorithms)
     if graph.n < 2:
         raise ValueError(f"{spec}: need at least two connected vertices, got {graph.n}")
     return name, graph
@@ -319,8 +339,7 @@ def cmd_layout(args) -> int:
     if snapshots and max(snapshots) > last:
         raise ValueError(f"--snapshots: each number must be at most {last}, the last "
                          f"iteration the run can reach, got {max(snapshots)}")
-    name, graph = _load_connected(args.input, args.format, args.strict)
-    check_memory(name, graph.n, (args.alg,))
+    name, graph = _load_connected(args.input, args.format, args.strict, (args.alg,))
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
     trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")

@@ -293,9 +293,12 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     neighbour.  Besides the result and a CSR copy of the adjacency,
     scratch stays within a few times _scratch_entries(n) entries.
 
-    Raises DisconnectedGraphError naming the first unreachable pair
-    (lowest source, then lowest target); callers should reduce to a
-    connected component first.
+    Connectivity is read after the blocks, before the fill, from one
+    searched row of vertex 0's component: vertex 0's own, or its first
+    neighbour's when 0 is in the set.  Raises DisconnectedGraphError
+    naming the first vertex that row misses (the lowest vertex
+    unreachable from 0); callers should reduce to a connected component
+    first.
     """
     n = g.n
     if n < 1:
@@ -312,14 +315,14 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     block, peak = max(1, budget // n), 1
     while sources.size:
         chunk, sources = sources[:block], sources[block:]
-        reached, widest = _bfs_block(d.reshape(-1), chunk, csr, budget)
-        if reached < chunk.size * n:
-            hops = [-1] * n
-            _bfs(g, 0, hops)  # in a disconnected graph source 0 already misses one
-            raise DisconnectedGraphError(f"vertex {hops.index(-1)} unreachable from vertex 0")
+        widest = _bfs_block(d.reshape(-1), chunk, csr, budget)
         peak = max(peak, -(-widest // chunk.size))  # widest frontier per source so far
         block = max(1, budget // peak)
     del csr, indptr, indices  # gone before DistanceMatrix allocates its checks
+    # rows of the independent set are not searched: read 0's first neighbour's instead
+    missing = np.flatnonzero(d[g.adjacency[0][0] if independent[0] else 0] < 0.0)
+    if missing.size:
+        raise DisconnectedGraphError(f"vertex {missing[0]} unreachable from vertex 0")
     for s in np.flatnonzero(independent).tolist():
         row = d[s]
         first, *rest = g.adjacency[s]
@@ -351,25 +354,23 @@ def _independent_set(g: Graph) -> np.ndarray:
     return taken
 
 
-def _bfs_block(flat, sources, csr, budget: int) -> tuple[int, int]:
+def _bfs_block(flat, sources, csr, budget: int) -> int:
     """Level-synchronous BFS from every vertex of sources at once.
 
     flat is the raveled n x n matrix, -1 in the rows of sources; the hop
     count from s to v is written at flat[s * n + v], and the frontier
-    holds those flat indices.  Returns the number of entries reached and
-    the widest frontier.
+    holds those flat indices.  Entries a source cannot reach stay -1.
+    Returns the widest frontier.
     """
     n = csr[0].size
     frontier = sources * (n + 1)
     flat.put(frontier, 0.0)
-    reached = widest = frontier.size
-    level = 0.0
+    widest, level = frontier.size, 0.0
     while frontier.size:
         level += 1.0
         frontier = _expand(flat, frontier, level, csr, budget)
-        reached += frontier.size
         widest = max(widest, frontier.size)
-    return reached, widest
+    return widest
 
 
 def _expand(flat, frontier, level: float, csr, budget: int) -> np.ndarray:
@@ -441,6 +442,15 @@ def complete_graph(n: int) -> Graph:
 
 def generate(family: str, *sizes: int) -> Graph:
     """Dispatch to a synthetic family: path, cycle, grid (rows, cols), complete."""
+    return family_maker(family, len(sizes))(*sizes)
+
+
+def family_maker(family: str, arity: int):
+    """The generator of a synthetic family, checked to take arity size parameters.
+
+    Builds nothing, so a specifier can be checked before generate runs:
+    in every family the vertex count is the product of the sizes.
+    """
     makers = {
         "path": (path_graph, 1),
         "cycle": (cycle_graph, 1),
@@ -449,10 +459,10 @@ def generate(family: str, *sizes: int) -> Graph:
     }
     if family not in makers:
         raise ValueError(f"unknown graph family {family!r}; expected one of {sorted(makers)}")
-    maker, arity = makers[family]
-    if len(sizes) != arity:
-        raise ValueError(f"{family} takes {arity} size parameter(s), got {len(sizes)}")
-    return maker(*sizes)
+    maker, takes = makers[family]
+    if arity != takes:
+        raise ValueError(f"{family} takes {takes} size parameter(s), got {arity}")
+    return maker
 
 
 def _check_size(value: int) -> None:

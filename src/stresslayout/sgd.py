@@ -100,26 +100,24 @@ def _round_rows(vertex):
     (r + k) % (m - 1) with slot (r - k) % (m - 1) for k = 1 .. m/2 - 1,
     and slot r with the fixed slot m - 1, a bye for odd n.  Every
     unordered slot pair occurs in exactly one round, and no slot occurs
-    twice in a round.  Around the ring of slots 0 .. m - 2, a round's
-    two rows are the m/2 entries forward and backward from slot r, so
-    both are windows over the ring doubled up to its wrap.  Returns
-    rows(rounds), which gathers the vertex arrays (a, b) of shape
-    (len(rounds), n // 2) with one indexing each; row r pairs a[r, k]
-    with b[r, k].
+    twice in a round.  With the ring of slots 0 .. m - 2 laid out twice,
+    the m/2 slots forward from r are the window at r, and the m/2 slots
+    backward from r are the window at r + m/2 read in reverse; column 0
+    of that second row is the fixed slot for even n, and both rows drop
+    column 0 for odd n.  Returns rows(rounds), which gathers the vertex
+    arrays (a, b) of shape (len(rounds), n // 2), fresh copies of
+    vertex's entries, with one indexing each; row r pairs a[r, k] with
+    b[r, k].
     """
     n = len(vertex)
     m = n + n % 2
     half = m // 2
-    ring = vertex[:m - 1]
-    back = ring[::-1]
     skip = n % 2  # the bye column
-    ahead = sliding_window_view(np.concatenate((ring, ring[:half - 1]))[skip:], half - skip)
-    behind = sliding_window_view(np.concatenate((back, back[:half - 1]))[skip:], half - skip)
-    behind = behind[::-1]  # backward window m - 2 - r starts at slot r
+    windows = sliding_window_view(np.tile(vertex[:m - 1], 2), half)  # the ring, laid out twice
 
     def rows(rounds):
-        a = ahead[rounds]
-        b = behind[rounds]
+        a = windows[rounds, skip:]
+        b = windows[rounds + half, ::-1][:, skip:]
         if not skip:
             b[:, 0] = vertex[m - 1]
         return a, b

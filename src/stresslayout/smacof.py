@@ -9,8 +9,8 @@ which keeps the method deterministic without any seed.
 
 The sweep works on complex coordinates z = x + iy, the view stress.points
 of the (n, 2) layout.  With the row-normalized weights wn =
-DistanceMatrix.weights (each row sums to 1, the one cached n**2 array
-besides the distances), the update of vertex i is two dot products:
+DistanceMatrix.weights (each row sums to 1; cached, like the distances
+and the pair table), the update of vertex i is two dot products:
 
     z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
 

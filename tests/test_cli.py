@@ -453,6 +453,41 @@ class TestSizeGuard:
         assert f"the {(estimate - 1) / 2**20:.0f} MiB of physical memory" in err
         assert list(workdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, name, n, alg", [
+        (["layout", "path:99999999"], "path_99999999", 99999999, "sgd"),
+        (["bench", "grid:20,30", "path:5", "--reps", "1", "--out", "r.csv"],
+         "grid_20x30", 600, "smacof"),
+    ])
+    def test_synthetic_spec_checked_before_generate(self, workdir, capsys, monkeypatch,
+                                                   argv, name, n, alg):
+        estimate = peak_bytes(n, alg)
+
+        def fail(*args):
+            raise AssertionError("an oversized or later input was generated")
+
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        monkeypatch.setattr(cli, "generate", fail)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{name}: a run on n = {n} vertices needs about {estimate / 2**20:.0f} MiB" in err
+        assert list(workdir.iterdir()) == []
+
+    def test_wrong_arity_keeps_its_message(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "memory_limit", lambda: RUN_FLOOR)
+        monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("generate was called"))
+        assert main(["layout", "grid:99999999"]) == 1
+        assert "grid takes 2 size parameter(s), got 1" in capsys.readouterr().err
+
+    def test_file_checked_after_reduction(self, workdir, capsys, monkeypatch):
+        # a 30-vertex path plus a separate edge: the guard sees the 30 kept vertices
+        edges = [(i, i + 1) for i in range(29)] + [(30, 31)]
+        (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in edges))
+        estimate = peak_bytes(30, "sgd")
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        assert main(["layout", "g.edges"]) == 1
+        err = capsys.readouterr().err
+        assert f"g: a run on n = 30 vertices needs about {estimate / 2**20:.0f} MiB" in err
+
     def test_fits_at_the_limit(self, workdir, monkeypatch):
         monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, "sgd"))
         assert main(["layout", "grid:3,3", "--alg", "sgd", "--out", "g.svg",

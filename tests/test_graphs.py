@@ -311,6 +311,26 @@ class TestShortestPaths:
             all_pairs_shortest_paths(g)
         assert str(error.value) == message
 
+    @pytest.mark.parametrize("budget", ["default", "one entry"])
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))))
+    @settings(max_examples=80, deadline=None)
+    def test_one_search_names_lowest_vertex_unreachable_from_0(self, budget, graph):
+        n, edges = graph
+        g = Graph.from_edges(n, edges)
+        hops, expected = bfs_hops(g, 0), bfs_rows(g)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget == "one entry":
+                patch.setattr(graphs, "_scratch_entries", lambda n: 1)
+            # the block BFS alone finds the pair: no per-source search runs
+            patch.setattr(graphs, "_bfs", lambda *args: pytest.fail("_bfs was called"))
+            if -1 in hops:
+                with pytest.raises(DisconnectedGraphError) as error:
+                    all_pairs_shortest_paths(g)
+                assert str(error.value) == f"vertex {hops.index(-1)} unreachable from vertex 0"
+            else:
+                assert np.array_equal(all_pairs_shortest_paths(g).matrix, expected)
+
     @pytest.mark.parametrize("g,dense", [
         (cycle_graph(600), False),
         (path_graph(600), False),
