@@ -7,7 +7,10 @@ argparse), 3 I/O failure.
 
 Inputs are files (.mtx Matrix Market, anything else edge list, override
 with --format) or synthetic specifiers like ``path:100``, ``cycle:100``,
-``grid:10,10``, ``complete:12``.
+``grid:10,10``, ``complete:12`` (graphs.synthetic_spec reads them).
+Every subcommand loads through load_graph, which checks a specifier
+against memory before generating it; layout, bench and hybrid check a
+file after parsing and reduction to its largest component.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import argparse
 import dataclasses
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -35,18 +37,16 @@ from .graphs import (
     all_pairs_shortest_paths,
     bfs_hops,
     connected_components,
-    family_maker,
     generate,
     largest_connected_component,
     parse_edge_list,
     parse_matrix_market,
+    synthetic_spec,
 )
 from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
 from .sgd import EPS, ITERATIONS, SgdConfig, run_sgd
 from .smacof import MAX_SWEEPS, SmacofConfig, run_smacof
 from .svg import render_svg
-
-_SYNTHETIC = re.compile(r"^(path|cycle|grid|complete):(\d+(?:,\d+)*)$")
 
 # Default SGD iteration count before majorization for layout --alg hybrid.
 SGD_K = 7
@@ -65,10 +65,17 @@ SGD_K = 7
 # layout run on grid:3,3 peaks at 35.5 MiB, runs of either algorithm
 # from any initializer up to n = 2000 peaked at most 40.3 MiB above
 # their n x n terms, and layout grid:40,50 peaks at 117.8 MiB (sgd) and
-# 148.3 MiB (smacof, --iters 3) against estimates of 121.9 and 152.4.
+# 148.3 MiB (smacof, --iters 3) against estimates of 123.5 and 154.0.
+# EDGE_BYTES is the peak of building the Python graph, per edge.  With
+# CPython 3.11, generate's tracemalloc peak read 395, 311 and 243 B per
+# edge on path:100000, grid:300,300 and complete:800, and its peak RSS
+# grew by 434, 345 and 242 B per edge on path:200000, grid:400,400 and
+# complete:1000.  Components and the reduction of a connected graph
+# peak below it, so the term covers info as well.
 MIB = 2**20
 RUN_FLOOR = 41 * MIB
 APSP_TRANSIENT = 0.15
+EDGE_BYTES = 440
 
 
 class _StrictDisconnected(Exception):
@@ -213,17 +220,20 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
     return dataclasses.replace(config, graphs=graphs)
 
 
-def peak_bytes(n: int, algorithm: str) -> int:
-    """Estimated peak memory of one run on n vertices, in bytes.
+def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
+    """Estimated peak memory of loading a graph of n vertices and m edges
+    and, given an algorithm, of one run on it, in bytes.
 
-    The arrays a run holds throughout: the distance matrix (8 n**2), its
-    pair table (12 n**2: two int64 indices and one float64 target per
+    Loading costs the run floor plus EDGE_BYTES per edge.  A run adds the
+    arrays it holds throughout: the distance matrix (8 n**2), its pair
+    table (12 n**2: two int64 indices and one float64 target per
     unordered pair) and, for smacof and hybrid, the majorization weights
-    (8 n**2).  On top come the scratch of all_pairs_shortest_paths and
-    the run floor, which holds everything that does not grow with n**2.
+    (8 n**2), plus the scratch of all_pairs_shortest_paths.
     """
-    per_entry = 8 + 12 + 8 * APSP_TRANSIENT + (0 if algorithm == "sgd" else 8)
-    return RUN_FLOOR + math.ceil(per_entry * n * n)
+    per_entry = 0
+    if algorithm is not None:
+        per_entry = 8 + 12 + 8 * APSP_TRANSIENT + (0 if algorithm == "sgd" else 8)
+    return RUN_FLOOR + EDGE_BYTES * m + math.ceil(per_entry * n * n)
 
 
 def memory_limit() -> int | None:
@@ -238,30 +248,28 @@ def memory_limit() -> int | None:
         return None
 
 
-def check_memory(name: str, n: int, algorithms) -> None:
-    """Fail fast, before any distance matrix exists, if a run cannot fit in memory."""
-    estimate = max(peak_bytes(n, algorithm) for algorithm in algorithms)
+def check_memory(name: str, n: int, m: int, algorithms=()) -> None:
+    """Fail fast if a graph of n vertices and m edges, with a run of each of
+    algorithms on it, cannot fit in memory; with no algorithms, the graph alone."""
+    estimate = max(peak_bytes(n, m, algorithm) for algorithm in algorithms or (None,))
     limit = memory_limit()
     if limit is not None and estimate > limit:
         raise ValueError(
-            f"{name}: a run on n = {n} vertices needs about {estimate / MIB:.0f} MiB, "
-            f"more than the {limit / MIB:.0f} MiB of physical memory"
+            f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
+            f"{estimate / MIB:.0f} MiB, more than the {limit / MIB:.0f} MiB of physical memory"
         )
 
 
-def _synthetic(spec: str) -> tuple[str | None, str | None, list[int]]:
-    """(name, family, sizes) of a synthetic specifier; (None, None, []) for a file path."""
-    match = _SYNTHETIC.match(spec)
-    if match is None:
-        return None, None, []
-    family, sizes = match.group(1), [int(s) for s in match.group(2).split(",")]
-    return f"{family}_" + "x".join(str(s) for s in sizes), family, sizes
+def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, Graph]:
+    """Load a graph from a file path or synthetic specifier.
 
-
-def load_graph(spec: str, fmt: str | None = None) -> tuple[str, Graph]:
-    """Load a graph from a file path or synthetic specifier."""
-    name, family, sizes = _synthetic(spec)
-    if family is not None:
+    A specifier is checked against memory at the n and edge bound it
+    implies, for a run of each of algorithms, before generate builds it.
+    """
+    synthetic = synthetic_spec(spec)
+    if synthetic is not None:
+        name, family, sizes, n, m = synthetic
+        check_memory(name, n, m, algorithms)
         return name, generate(family, *sizes)
     path = Path(spec)
     text = path.read_text()
@@ -275,15 +283,10 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
     """Load, reduce to the largest connected component, require n >= 2,
     and fail fast if a run on it cannot fit in memory.
 
-    The one caller of check_memory: synthetic graphs are connected, so a
-    spec is checked at the n it implies before generate builds it, and a
-    file after parsing and reduction.
+    load_graph has checked a synthetic spec before generating it; the
+    check here, after reduction, is the one a file gets.
     """
-    name, family, sizes = _synthetic(spec)
-    if family is not None:
-        family_maker(family, len(sizes))  # a wrong arity stops here, with generate's message
-        check_memory(name, math.prod(sizes), algorithms)
-    name, graph = load_graph(spec, fmt)
+    name, graph = load_graph(spec, fmt, algorithms)
     components = connected_components(graph)
     if len(components) > 1:
         if strict:
@@ -297,8 +300,7 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
             file=sys.stderr,
         )
         graph = reduced
-    if family is None:
-        check_memory(name, graph.n, algorithms)
+    check_memory(name, graph.n, graph.m, algorithms)
     if graph.n < 2:
         raise ValueError(f"{spec}: need at least two connected vertices, got {graph.n}")
     return name, graph

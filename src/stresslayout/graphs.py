@@ -1,7 +1,8 @@
 """Graph ingestion, cleanup and shortest-path distance matrices.
 
 Input graphs come from Matrix Market files (the sparse-matrix benchmark
-format), plain edge lists, or the synthetic generators below.  Everything
+format), plain edge lists, or the synthetic families of FAMILIES, named
+by specifiers like ``grid:10,10`` that synthetic_spec reads.  Everything
 is normalized to a simple undirected graph on vertices [0, n): self-loops
 dropped, duplicate/reversed edges merged.  Distances are unweighted hop
 counts: all_pairs_shortest_paths runs a level-synchronous numpy BFS over
@@ -11,6 +12,8 @@ neighbours' rows; bfs_hops answers one source at a time.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -248,11 +251,13 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Ties between equal-sized components go to the one containing the
     smallest original vertex id.  Reindexing preserves ascending id order.
+    A connected graph is returned itself, not copied.
     """
     best = max(connected_components(g), key=len, default=[])  # first wins ties
+    if len(best) == g.n:
+        return g
     remap = {v: k for k, v in enumerate(best)}
-    kept = set(best)
-    edges = [(remap[i], remap[j]) for i, j in g.edges if i in kept and j in kept]
+    edges = [(remap[i], remap[j]) for i, j in g.edges if i in remap and j in remap]
     return Graph.from_edges(len(best), edges)
 
 
@@ -440,29 +445,47 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def generate(family: str, *sizes: int) -> Graph:
-    """Dispatch to a synthetic family: path, cycle, grid (rows, cols), complete."""
-    return family_maker(family, len(sizes))(*sizes)
+# family: (generator, number of sizes, bound on the edge count from the sizes).
+# In every family the vertex count is the product of the sizes.
+FAMILIES = {
+    "path": (path_graph, 1, lambda n: n - 1),
+    "cycle": (cycle_graph, 1, lambda n: n),
+    "grid": (grid_graph, 2, lambda rows, cols: 2 * rows * cols - rows - cols),
+    "complete": (complete_graph, 1, lambda n: n * (n - 1) // 2),
+}
+_SPEC = re.compile(rf"^({'|'.join(FAMILIES)}):(\d+(?:,\d+)*)$")
 
 
-def family_maker(family: str, arity: int):
-    """The generator of a synthetic family, checked to take arity size parameters.
+def synthetic_spec(spec: str) -> tuple[str, str, tuple[int, ...], int, int] | None:
+    """(name, family, sizes, n, edge bound) of a synthetic specifier like
+    ``grid:10,10``, read without building its graph; None for a file path.
 
-    Builds nothing, so a specifier can be checked before generate runs:
-    in every family the vertex count is the product of the sizes.
+    The name is like ``grid_10x10``, n is the vertex count and the graph
+    has at most edge bound edges.  Raises ValueError if the family takes
+    another number of sizes.
     """
-    makers = {
-        "path": (path_graph, 1),
-        "cycle": (cycle_graph, 1),
-        "grid": (grid_graph, 2),
-        "complete": (complete_graph, 1),
-    }
-    if family not in makers:
-        raise ValueError(f"unknown graph family {family!r}; expected one of {sorted(makers)}")
-    maker, takes = makers[family]
-    if arity != takes:
-        raise ValueError(f"{family} takes {takes} size parameter(s), got {arity}")
-    return maker
+    match = _SPEC.match(spec)
+    if match is None:
+        return None
+    family, sizes = match.group(1), tuple(int(s) for s in match.group(2).split(","))
+    _, edge_bound = _family(family, len(sizes))
+    name = f"{family}_" + "x".join(map(str, sizes))
+    return name, family, sizes, math.prod(sizes), edge_bound(*sizes)
+
+
+def generate(family: str, *sizes: int) -> Graph:
+    """Build a synthetic family: path, cycle, grid (rows, cols), complete."""
+    return _family(family, len(sizes))[0](*sizes)
+
+
+def _family(family: str, count: int):
+    """(generator, edge bound) of family, checked to take count size parameters."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}; expected one of {sorted(FAMILIES)}")
+    maker, arity, edge_bound = FAMILIES[family]
+    if count != arity:
+        raise ValueError(f"{family} takes {arity} size parameter(s), got {count}")
+    return maker, edge_bound
 
 
 def _check_size(value: int) -> None:

@@ -8,10 +8,11 @@ from stresslayout import (
     bench,
     cli,
     cycle_graph,
+    generate,
     grid_graph,
     path_graph,
 )
-from stresslayout.cli import RUN_FLOOR, build_parser, main, peak_bytes
+from stresslayout.cli import EDGE_BYTES, RUN_FLOOR, build_parser, main, peak_bytes
 from helpers import random_connected_graph
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -415,17 +416,24 @@ class TestInfoCommand:
 
 
 class TestSizeGuard:
+    # edge bounds of the specs below: path n - 1, grid 2rc - r - c, complete n(n - 1)/2
+    EDGES = {"grid_20x30": 1150, "path_99999999": 99999998, "complete_7000": 24496500}
+
     def test_estimate_terms(self):
-        n = 1000
-        sgd = peak_bytes(n, "sgd")
-        assert sgd == pytest.approx(RUN_FLOOR + (8 + 12 + 0.15 * 8) * n * n, abs=1)
-        assert peak_bytes(n, "smacof") == peak_bytes(n, "hybrid")
-        assert peak_bytes(n, "smacof") - sgd == pytest.approx(8 * n * n, abs=1)
-        assert peak_bytes(2 * n, "sgd") > sgd
+        n, m = 1000, 2500
+        sgd = peak_bytes(n, m, "sgd")
+        assert sgd == pytest.approx(RUN_FLOOR + EDGE_BYTES * m + (8 + 12 + 0.15 * 8) * n * n,
+                                    abs=1)
+        assert peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
+        assert peak_bytes(n, m, "smacof") - sgd == pytest.approx(8 * n * n, abs=1)
+        assert peak_bytes(2 * n, m, "sgd") > sgd
+        assert peak_bytes(n, m + 1, "sgd") - sgd == EDGE_BYTES
+        # loading alone (info) has no n**2 terms
+        assert peak_bytes(n, m) == RUN_FLOOR + EDGE_BYTES * m
 
     def test_limit_is_physical_memory(self):
         limit = cli.memory_limit()
-        assert limit is None or limit > peak_bytes(2000, "smacof")
+        assert limit is None or limit > peak_bytes(2000, 3910, "smacof")
 
     @pytest.mark.parametrize(
         "argv, n, alg",
@@ -439,7 +447,7 @@ class TestSizeGuard:
         ],
     )
     def test_oversized_exits_1_before_distances(self, workdir, capsys, monkeypatch, argv, n, alg):
-        estimate = peak_bytes(n, alg)
+        estimate = peak_bytes(n, self.EDGES["grid_20x30"], alg)
 
         def fail(graph):
             raise AssertionError("no distance matrix may be built")
@@ -449,7 +457,8 @@ class TestSizeGuard:
         monkeypatch.setattr(bench, "all_pairs_shortest_paths", fail)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"grid_20x30: a run on n = {n} vertices needs about {estimate / 2**20:.0f} MiB" in err
+        assert (f"grid_20x30: a run on n = {n} vertices and m = 1150 edges needs about "
+                f"{estimate / 2**20:.0f} MiB") in err
         assert f"the {(estimate - 1) / 2**20:.0f} MiB of physical memory" in err
         assert list(workdir.iterdir()) == []
 
@@ -460,7 +469,8 @@ class TestSizeGuard:
     ])
     def test_synthetic_spec_checked_before_generate(self, workdir, capsys, monkeypatch,
                                                    argv, name, n, alg):
-        estimate = peak_bytes(n, alg)
+        m = self.EDGES[name]
+        estimate = peak_bytes(n, m, alg)
 
         def fail(*args):
             raise AssertionError("an oversized or later input was generated")
@@ -469,7 +479,41 @@ class TestSizeGuard:
         monkeypatch.setattr(cli, "generate", fail)
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"{name}: a run on n = {n} vertices needs about {estimate / 2**20:.0f} MiB" in err
+        assert (f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
+                f"{estimate / 2**20:.0f} MiB") in err
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name, n, alg", [
+        (["layout", "complete:7000"], "complete_7000", 7000, "sgd"),
+        (["info", "path:99999999"], "path_99999999", 99999999, None),
+    ])
+    def test_edges_checked_before_generate(self, workdir, capsys, monkeypatch, argv, name, n, alg):
+        # both fit 8 GiB by their vertices alone; building their edges does not
+        m = self.EDGES[name]
+        monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 2**30)
+        monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("generate was called"))
+        assert peak_bytes(n, 0, alg) < 8 * 2**30
+        assert main(argv) == 1
+        estimate = peak_bytes(n, m, alg)
+        assert (f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
+                f"{estimate / 2**20:.0f} MiB, more than the 8192 MiB") in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_bench_stops_before_a_dense_input(self, workdir, capsys, monkeypatch):
+        generated = []
+
+        def grid_only(*args):
+            if args != ("grid", 20, 30):
+                pytest.fail(f"generate{args} was called")
+            generated.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 2**30)
+        monkeypatch.setattr(cli, "generate", grid_only)
+        assert main(["bench", "grid:20,30", "complete:7000", "--reps", "1",
+                     "--out", "r.csv"]) == 1
+        assert generated == [("grid", 20, 30)]
+        assert "complete_7000: a run on n = 7000 vertices" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
     def test_wrong_arity_keeps_its_message(self, workdir, capsys, monkeypatch):
@@ -482,14 +526,15 @@ class TestSizeGuard:
         # a 30-vertex path plus a separate edge: the guard sees the 30 kept vertices
         edges = [(i, i + 1) for i in range(29)] + [(30, 31)]
         (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in edges))
-        estimate = peak_bytes(30, "sgd")
+        estimate = peak_bytes(30, 29, "sgd")
         monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
         assert main(["layout", "g.edges"]) == 1
         err = capsys.readouterr().err
-        assert f"g: a run on n = 30 vertices needs about {estimate / 2**20:.0f} MiB" in err
+        assert (f"g: a run on n = 30 vertices and m = 29 edges needs about "
+                f"{estimate / 2**20:.0f} MiB") in err
 
     def test_fits_at_the_limit(self, workdir, monkeypatch):
-        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, "sgd"))
+        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, 12, "sgd"))
         assert main(["layout", "grid:3,3", "--alg", "sgd", "--out", "g.svg",
                      "--trace", "g.csv"]) == 0
         monkeypatch.setattr(cli, "memory_limit", lambda: None)
@@ -532,3 +577,7 @@ class TestFormatOverride:
     def test_synthetic_specs(self, workdir, capsys):
         assert main(["info", "grid:2,3"]) == 0
         assert "vertices: 6" in capsys.readouterr().out
+
+    def test_unknown_family_is_a_file_path(self, workdir, capsys):
+        assert main(["layout", "star:5"]) == 3
+        assert "star:5" in capsys.readouterr().err

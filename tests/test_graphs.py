@@ -1,4 +1,6 @@
 import io
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ from stresslayout import (
     path_graph,
 )
 from stresslayout import graphs
-from stresslayout.graphs import bfs_hops
+from stresslayout.graphs import FAMILIES, bfs_hops, synthetic_spec
 from helpers import floyd_warshall, random_connected_graph
 
 
@@ -185,6 +187,11 @@ class TestComponents:
     def test_connected_graph_unchanged(self):
         g = cycle_graph(5)
         assert largest_connected_component(g) == g
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), grid_graph(3, 4), path_graph(1),
+                                   Graph.from_edges(0, [])])
+    def test_connected_graph_returned_itself(self, g):
+        assert largest_connected_component(g) is g
 
     def test_largest_of_two(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
@@ -371,6 +378,32 @@ class TestGenerators:
     def test_rejects_non_positive_sizes(self, family, sizes):
         with pytest.raises(ValueError, match="positive"):
             generate(family, *sizes)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_table_counts(self, family):
+        # n is the product of the sizes and m the table's bound, which a
+        # cycle on fewer than 3 vertices (self-loop or doubled edge) stays under
+        arity = FAMILIES[family][1]
+        for sizes in itertools.product(range(1, 9), repeat=arity):
+            spec = f"{family}:" + ",".join(map(str, sizes))
+            name, parsed_family, parsed_sizes, n, m = synthetic_spec(spec)
+            g = generate(family, *sizes)
+            assert (parsed_family, parsed_sizes) == (family, sizes)
+            assert name == f"{family}_" + "x".join(map(str, sizes))
+            assert g.n == n == math.prod(sizes)
+            if family == "cycle" and n < 3:
+                assert g.m <= m
+            else:
+                assert g.m == m
+
+    def test_spec_grammar(self):
+        for family, (_, arity, _) in FAMILIES.items():
+            assert synthetic_spec(f"{family}:" + ",".join(["12"] * arity))[1] == family
+        for spec in ("star:5", "grid", "grid:", "grid:3,", "path:-1", "path:1.5", "Path:3",
+                     " path:3", "g.edges", "path:3.mtx"):
+            assert synthetic_spec(spec) is None
+        with pytest.raises(ValueError, match="grid takes 2 size parameter"):
+            synthetic_spec("grid:99999999")
 
     def test_dispatcher(self):
         assert generate("grid", 2, 3).n == 6
