@@ -6,7 +6,8 @@ MDS, PivotMDS with k = 100, a default 15-iteration run_sgd with its 16
 stress() calls, one SMACOF sweep, one stress() call) and a column per
 graph.  Each cell is the median of --repeats timed calls after one
 untimed warm-up call.  The sweep and the stress() call start from the
-classical-MDS layout; run_sgd starts from random_init(n, 0).
+classical-MDS layout, and the sweep's weights are built before it is
+timed; run_sgd starts from random_init(n, 0).
 
     python3 scripts/layer_times.py
     python3 scripts/layer_times.py --graphs grid:3,3 --repeats 1
@@ -34,6 +35,7 @@ from stresslayout import (  # noqa: E402
     stress,
 )
 from stresslayout.cli import load_graph  # noqa: E402
+from stresslayout.smacof import weights  # noqa: E402
 
 GRAPHS = ("grid:10,10", "grid:30,30", "grid:40,50")
 
@@ -42,6 +44,7 @@ def layers(graph):
     """(label, zero-argument call) per layer of one graph."""
     dist = all_pairs_shortest_paths(graph)
     cmds = classical_mds(dist)
+    wn = weights(dist)
     start = random_init(graph.n, 0)
     return [
         ("BFS all-pairs distances", lambda: all_pairs_shortest_paths(graph)),
@@ -49,7 +52,7 @@ def layers(graph):
         ("`pivot_mds` (k = 100)", lambda: pivot_mds(graph, PivotConfig())),
         ("`run_sgd`, 15 iterations, with its 16 `stress()` calls",
          lambda: run_sgd(dist, start, SgdConfig())),
-        ("One SMACOF sweep (`smacof_iteration`)", lambda: smacof_iteration(cmds, dist)),
+        ("One SMACOF sweep (`smacof_iteration`)", lambda: smacof_iteration(cmds, dist, wn)),
         ("One `stress()` call", lambda: stress(cmds, dist)),
     ]
 

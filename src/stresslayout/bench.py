@@ -166,6 +166,7 @@ def run_hybrid(config: ExperimentConfig, ks) -> list[StressTrace]:
                         phase_boundary=k,
                     )
                 )
+        del dist, cmds_layout  # freed before the next graph's search
     return traces
 
 

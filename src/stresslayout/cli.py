@@ -228,7 +228,9 @@ def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
     arrays it holds throughout: the distance matrix (8 n**2), its pair
     table (12 n**2: two int64 indices and one float64 target per
     unordered pair) and, for smacof and hybrid, the majorization weights
-    (8 n**2), plus the scratch of all_pairs_shortest_paths.
+    that each run_smacof call builds and drops (8 n**2), plus the scratch
+    of all_pairs_shortest_paths.  A campaign frees each graph's arrays
+    before the next graph's search, so one graph's estimate bounds it.
     """
     per_entry = 0
     if algorithm is not None:
@@ -293,7 +295,7 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
             raise _StrictDisconnected(
                 f"{spec}: graph has {len(components)} components (strict mode)"
             )
-        reduced = largest_connected_component(graph)
+        reduced = largest_connected_component(graph, components)
         print(
             f"warning: {spec} has {len(components)} components; "
             f"using largest with {reduced.n} of {graph.n} vertices",
@@ -418,7 +420,7 @@ def cmd_info(args) -> int:
     print(f"components: {len(components)}")
     if graph.n == 0:
         return 0
-    largest = largest_connected_component(graph)
+    largest = largest_connected_component(graph, components)
     print(f"largest component: {largest.n} vertices, {largest.m} edges")
     if largest.n >= 2:
         # one BFS per source, holding one row at a time instead of the n x n matrix

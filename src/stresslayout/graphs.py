@@ -7,7 +7,10 @@ is normalized to a simple undirected graph on vertices [0, n): self-loops
 dropped, duplicate/reversed edges merged.  Distances are unweighted hop
 counts: all_pairs_shortest_paths runs a level-synchronous numpy BFS over
 blocks of sources and fills the rows of an independent set from their
-neighbours' rows; bfs_hops answers one source at a time.
+neighbours' rows; bfs_hops answers one source at a time.  A
+DistanceMatrix holds only checked distances (a zero between distinct
+vertices is refused when it is built) and their pair table; the
+majorization weights belong to each smacof run.
 """
 
 from __future__ import annotations
@@ -72,12 +75,13 @@ class Graph:
 
 
 class DistanceMatrix:
-    """Symmetric matrix of pairwise target distances, zero on the diagonal.
+    """Symmetric matrix of pairwise target distances, zero on the diagonal
+    and positive everywhere else.
 
-    Also exposes the row-normalized stress weights that majorization
-    reads and the table of unordered pairs.  The underlying arrays are
-    read-only; instances are immutable.  The matrix is C-ordered, so
-    matrix.ravel() is a view (run_sgd gathers targets from it).
+    Also exposes the table of unordered pairs that stress, step_widths
+    and stress_gradient share.  The underlying arrays are read-only;
+    instances are immutable.  The matrix is C-ordered, so matrix.ravel()
+    is a view (run_sgd gathers targets from it).
     """
 
     def __init__(self, matrix):
@@ -102,6 +106,8 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
         if np.diagonal(d).any():
             raise ValueError("distance matrix diagonal must be zero")
+        if np.count_nonzero(d) != d.size - d.shape[0]:
+            raise ValueError("zero distance between distinct vertices")
         if not np.array_equal(d, d.T):
             raise ValueError("distance matrix must be symmetric")
         d.setflags(write=False)
@@ -114,26 +120,6 @@ class DistanceMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return self._d
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Row-normalized stress weights, read-only, zero on the diagonal.
-
-        Entry (i, j) is d_ij**-2 / sum_k d_ik**-2, so each row sums to 1
-        (for n >= 2); majorization places vertex i at the weighted average
-        its row describes.
-        """
-        n = self.n
-        if np.count_nonzero(self._d) != n * n - n:
-            raise ValueError("zero distance between distinct vertices")
-        w = np.square(self._d)
-        np.fill_diagonal(w, 1.0)
-        np.divide(1.0, w, out=w)
-        np.fill_diagonal(w, 0.0)
-        if n > 1:
-            w /= w.sum(axis=1, keepdims=True)
-        w.setflags(write=False)
-        return w
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,14 +232,18 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [sorted(_bfs(g, s, hops)) for s in range(g.n) if hops[s] < 0]
 
 
-def largest_connected_component(g: Graph) -> Graph:
+def largest_connected_component(g: Graph, components=None) -> Graph:
     """Induced subgraph on the largest component, reindexed to [0, n').
 
-    Ties between equal-sized components go to the one containing the
-    smallest original vertex id.  Reindexing preserves ascending id order.
-    A connected graph is returned itself, not copied.
+    components, if given, is connected_components(g), so a caller that
+    holds them saves a second search.  Ties between equal-sized
+    components go to the one containing the smallest original vertex id.
+    Reindexing preserves ascending id order.  A connected graph is
+    returned itself, not copied.
     """
-    best = max(connected_components(g), key=len, default=[])  # first wins ties
+    if components is None:
+        components = connected_components(g)
+    best = max(components, key=len, default=[])  # first wins ties
     if len(best) == g.n:
         return g
     remap = {v: k for k, v in enumerate(best)}

@@ -8,9 +8,9 @@ run in fixed index order, each vertex seeing already-updated positions,
 which keeps the method deterministic without any seed.
 
 The sweep works on complex coordinates z = x + iy, the view stress.points
-of the (n, 2) layout.  With the row-normalized weights wn =
-DistanceMatrix.weights (each row sums to 1; cached, like the distances
-and the pair table), the update of vertex i is two dot products:
+of the (n, 2) layout.  With the row-normalized weights wn = weights(dist)
+(each row sums to 1; built once per run_smacof call and dropped with
+it), the update of vertex i is two dot products:
 
     z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
 
@@ -44,6 +44,22 @@ class SmacofConfig:
             raise ValueError("max_iterations must be positive")
 
 
+def weights(dist: DistanceMatrix) -> np.ndarray:
+    """Row-normalized stress weights, zero on the diagonal.
+
+    Entry (i, j) is d_ij**-2 / sum_k d_ik**-2, so each row sums to 1
+    (for n >= 2); majorization places vertex i at the weighted average
+    its row describes.
+    """
+    w = np.square(dist.matrix)
+    np.fill_diagonal(w, 1.0)
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, 0.0)
+    if dist.n > 1:
+        w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 def _place(z, weight_row, target_row, diff, lengths) -> complex:
     """Weighted average of one vertex's per-neighbor targets (weights sum to 1).
 
@@ -64,15 +80,16 @@ def _offsets(i: int, z):
 def smacof_iteration(
     coords,
     dist: DistanceMatrix,
+    wn: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One majorization sweep: update vertices 0..n-1 sequentially.
 
     Takes and returns an (n, 2) layout, updated through its complex view
-    stress.points.  Stress never increases over a sweep.  When vertex i
-    coincides with k others, stress.separate nudges the k pairs apart (one
-    angle per pair, in index order) before its update; the jitter
-    generator is fixed-seeded when not supplied.
+    stress.points; wn is weights(dist).  Stress never increases over a
+    sweep.  When vertex i coincides with k others, stress.separate nudges
+    the k pairs apart (one angle per pair, in index order) before its
+    update; the jitter generator is fixed-seeded when not supplied.
     """
     x = as_layout(coords, dist.n)
     if dist.n < 2:
@@ -81,7 +98,6 @@ def smacof_iteration(
         rng = np.random.default_rng(_JITTER_SEED)
     z = points(x)
     d = dist.matrix
-    wn = dist.weights
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(dist.n):
             diff, lengths = _offsets(i, z)
@@ -111,9 +127,10 @@ def run_smacof(
     x = as_layout(init, dist.n)
     rng = np.random.default_rng(_JITTER_SEED)
     previous = stress(x, dist)
+    wn = weights(dist)
     trace = [previous]
     for sweep in range(config.max_iterations):
-        x = smacof_iteration(x, dist, rng)
+        x = smacof_iteration(x, dist, wn, rng)
         current = stress(x, dist)
         trace.append(current)
         if callback is not None:

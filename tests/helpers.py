@@ -19,7 +19,7 @@ import numpy as np
 
 from stresslayout import DistanceMatrix, Graph, stress
 from stresslayout.sgd import _round, step_widths
-from stresslayout.smacof import _offsets, _place
+from stresslayout.smacof import _offsets, _place, weights
 from stresslayout.stress import JITTER_EPSILON, as_layout, points
 
 
@@ -200,7 +200,7 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     diff, lengths = _offsets(i, z)
     if not lengths.all():
         raise ValueError(f"vertex {i} coincides with another vertex")
-    zi = _place(z, dist.weights[i], dist.matrix[i], diff, lengths)
+    zi = _place(z, weights(dist)[i], dist.matrix[i], diff, lengths)
     return np.array([zi.real, zi.imag])
 
 

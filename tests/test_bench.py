@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ class TestRunHybrid:
         monkeypatch.setattr(bench, "all_pairs_shortest_paths", counted)
         run_hybrid(self.config(), (0, 1))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("algorithms,rows", [(("sgd",), 20), (("sgd", "smacof"), 15)])
+    def test_holds_one_graph_at_a_time(self, algorithms, rows):
+        # a graph's distance matrix, pair table and weights are gone before
+        # the next graph's search, so two equal graphs peak as one does
+        def peak(*shapes):
+            config = ExperimentConfig(
+                graphs=tuple((f"grid_{r}x{c}", grid_graph(r, c)) for r, c in shapes),
+                algorithms=algorithms, initializers=("cmds",), repetitions=1,
+                sgd_iterations=2,
+            )
+            tracemalloc.start()
+            try:
+                run_grid(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((3, 3))  # first-call allocations stay out of the measured runs
+        one = peak((rows, 30))
+        assert peak((rows, 30), (30, rows)) <= 1.02 * one
 
 
 class TestCsv:

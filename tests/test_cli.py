@@ -9,6 +9,7 @@ from stresslayout import (
     cli,
     cycle_graph,
     generate,
+    graphs,
     grid_graph,
     path_graph,
 )
@@ -413,6 +414,22 @@ class TestInfoCommand:
         monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
         assert main(["info", "g.edges"]) == 0
         assert f"diameter (largest component): {expected}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["info", "layout"])
+    def test_one_component_search(self, workdir, monkeypatch, command):
+        # the reduction to the largest component reuses the components its caller found
+        searches = []
+
+        def counted(graph):
+            searches.append(graph.n)
+            return search(graph)
+
+        search = graphs.connected_components
+        monkeypatch.setattr(graphs, "connected_components", counted)
+        monkeypatch.setattr(cli, "connected_components", counted)
+        (workdir / "two.edges").write_text("0 1\n1 2\n5 6\n")
+        assert main([command, "two.edges"]) == 0
+        assert searches == [5]
 
 
 class TestSizeGuard:

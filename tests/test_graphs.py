@@ -414,25 +414,6 @@ class TestGenerators:
 
 
 class TestDistanceMatrix:
-    def test_weights_matrix(self):
-        # row-normalized d**-2: row 0 of path:3 is [0, 1, 1/4] / (5/4)
-        d = all_pairs_shortest_paths(path_graph(3))
-        w = d.weights
-        assert w[0].tolist() == pytest.approx([0.0, 0.8, 0.2], abs=1e-15)
-        assert w is d.weights
-        for graph in (path_graph(7), grid_graph(3, 4), cycle_graph(9)):
-            w = all_pairs_shortest_paths(graph).weights
-            assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-            assert not np.diagonal(w).any()
-            assert (w[~np.eye(graph.n, dtype=bool)] > 0.0).all()
-            with pytest.raises(ValueError):
-                w[0, 1] = 0.5
-
-    def test_weights_reject_zero_distance(self):
-        d = DistanceMatrix([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="zero distance between distinct vertices"):
-            d.weights
-
     def test_matrix_read_only(self):
         d = DistanceMatrix([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -475,6 +456,8 @@ class TestDistanceMatrix:
             ([[1.0, 1.0], [1.0, 0.0]], "diagonal"),
             ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
             ([[0.0, float("nan")], [float("nan"), 0.0]], "finite"),
+            ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+             "zero distance between distinct vertices"),
         ],
     )
     def test_validation(self, matrix, fragment):
