@@ -40,9 +40,9 @@ from .initializers import (
     pivot_mds,
     random_init,
 )
-from .sgd import SgdConfig, pair_update, run_sgd
+from .sgd import SgdConfig, run_sgd
 from .smacof import SmacofConfig, run_smacof, smacof_iteration
-from .stress import as_layout, procrustes_error, stress, stress_gradient
+from .stress import as_layout, stress
 from .svg import render_svg
 
 __version__ = "0.1.0"

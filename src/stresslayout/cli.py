@@ -6,8 +6,9 @@ converge, 2 disconnected input under --strict (or usage errors from
 argparse), 3 I/O failure.
 
 Inputs are files (.mtx Matrix Market, anything else edge list, override
-with --format) or synthetic specifiers like ``path:100``, ``cycle:100``,
-``grid:10,10``, ``complete:12`` (graphs.synthetic_spec reads them).
+with --format, which needs a file among the inputs) or synthetic
+specifiers like ``path:100``, ``cycle:100``, ``grid:10,10``,
+``complete:12`` (graphs.synthetic_spec reads them).
 Every subcommand loads through load_graph, which checks a specifier
 against memory before generating it; layout, bench and hybrid check a
 file after parsing and reduction to its largest component.
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algs", default="sgd,smacof", help="algorithms (default: %(default)s)")
     bench.add_argument("--inits", default="random,cmds",
                        help="initializers (default: %(default)s)")
-    bench.set_defaults(func=cmd_bench)
+    # None marks --iters and --eps as not given: they apply only with sgd in --algs
+    bench.set_defaults(func=cmd_bench, iters=None, eps=None)
 
     hybrid = sub.add_parser("hybrid", help="self-initialization sweep: k SGD steps then majorization")
     _add_input_options(hybrid)
@@ -193,9 +195,9 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--base-seed", type=int, default=0,
                         help="run r uses seed base+r (default: %(default)s)")
     parser.add_argument("--iters", type=int, default=ITERATIONS,
-                        help="SGD schedule length (default: %(default)s)")
+                        help=f"SGD schedule length (default: {ITERATIONS})")
     parser.add_argument("--eps", type=float, default=EPS,
-                        help="final relative SGD step (default: %(default)s)")
+                        help=f"final relative SGD step (default: {EPS})")
     parser.add_argument("--out", default=None, help="report CSV path (default: stdout)")
     parser.add_argument("--trace", default=None, help="full traces CSV path")
 
@@ -213,9 +215,10 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
         initializers=initializers,
         repetitions=args.reps,
         base_seed=args.base_seed,
-        sgd_iterations=args.iters,
-        sgd_eps=args.eps,
+        sgd_iterations=ITERATIONS if args.iters is None else args.iters,
+        sgd_eps=EPS if args.eps is None else args.eps,
     )
+    _check_format(args.format, specs)
     graphs = tuple(_load_connected(spec, args.format, args.strict, algorithms) for spec in specs)
     return dataclasses.replace(config, graphs=graphs)
 
@@ -260,6 +263,12 @@ def check_memory(name: str, n: int, m: int, algorithms=()) -> None:
             f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
             f"{estimate / MIB:.0f} MiB, more than the {limit / MIB:.0f} MiB of physical memory"
         )
+
+
+def _check_format(fmt: str | None, specs) -> None:
+    """Refuse --format when every input is a synthetic spec, which it would not change."""
+    if fmt is not None and all(synthetic_spec(spec) is not None for spec in specs):
+        raise ValueError("--format applies only to file inputs")
 
 
 def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, Graph]:
@@ -343,6 +352,7 @@ def cmd_layout(args) -> int:
     if snapshots and max(snapshots) > last:
         raise ValueError(f"--snapshots: each number must be at most {last}, the last "
                          f"iteration the run can reach, got {max(snapshots)}")
+    _check_format(args.format, [args.input])
     name, graph = _load_connected(args.input, args.format, args.strict, (args.alg,))
     dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
@@ -384,9 +394,11 @@ def cmd_layout(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _experiment_config(
-        args, args.inputs, tuple(args.algs.split(",")), tuple(args.inits.split(","))
-    )
+    algorithms = tuple(args.algs.split(","))
+    for flag, value in (("--iters", args.iters), ("--eps", args.eps)):
+        if value is not None and "sgd" not in algorithms:
+            raise ValueError(f"{flag} applies only with sgd in --algs")
+    config = _experiment_config(args, args.inputs, algorithms, tuple(args.inits.split(",")))
     if "smacof" not in config.algorithms or "cmds" not in config.initializers:
         raise ValueError("the report needs the smacof x cmds reference cell in --algs/--inits")
     return _write_report(run_grid(config), args)
@@ -412,6 +424,7 @@ def _write_report(traces, args) -> int:
 
 
 def cmd_info(args) -> int:
+    _check_format(args.format, [args.input])
     name, graph = load_graph(args.input, args.format)
     components = connected_components(graph)
     print(f"graph: {name}")

@@ -78,8 +78,8 @@ class DistanceMatrix:
     """Symmetric matrix of pairwise target distances, zero on the diagonal
     and positive everywhere else.
 
-    Also exposes the table of unordered pairs that stress, step_widths
-    and stress_gradient share.  The underlying arrays are read-only;
+    Also exposes the table of unordered pairs that stress and
+    step_widths share.  The underlying arrays are read-only;
     instances are immutable.  The matrix is C-ordered, so matrix.ravel()
     is a view (run_sgd gathers targets from it).
     """

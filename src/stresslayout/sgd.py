@@ -76,23 +76,6 @@ def step_widths(dist: DistanceMatrix, config: SgdConfig) -> list[float]:
     return [eta_max * math.exp(-decay * t) for t in range(t_max)]
 
 
-def pair_update(p, q, d: float, mu: float):
-    """Move a single pair toward its target distance d by fraction mu.
-
-    Shrinks or extends the segment p--q symmetrically: with mu = 1 the new
-    distance is exactly d, and the midpoint is preserved exactly for any mu.
-    Returns the two new points.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    delta = p - q
-    length = math.hypot(float(delta[0]), float(delta[1]))
-    if length <= 0.0:
-        raise ValueError("coincident pair: update direction is undefined")
-    move = (0.5 * mu * (length - d) / length) * delta
-    return p - move, q + move
-
-
 def _round_rows(vertex):
     """Row builder for a circle-method round robin over the slots of vertex.
 
@@ -128,10 +111,13 @@ def _round_rows(vertex):
 def _round(z, i, j, d, half_mu, rng):
     """Update the disjoint pairs (i[k], j[k]) of points z = x + iy at once, in place.
 
-    half_mu holds 0.5 * mu per pair.  No vertex occurs twice in i and j
-    together, so the result equals pair_update on each pair in turn, in
-    any order.  Coincident pairs, found by counting nonzero lengths, are
-    first nudged apart by stress.separate, one angle per pair from rng.
+    half_mu holds 0.5 * mu per pair: each pair moves symmetrically along
+    its line by the fraction mu of the correction to its target d, so
+    mu = 1 realizes d, and its midpoint stays.  No vertex occurs twice in
+    i and j together, so the result equals updating the pairs one at a
+    time, in any order.  Coincident pairs, found by counting nonzero
+    lengths, are first nudged apart by stress.separate, one angle per
+    pair from rng.
     """
     zi, zj = z[i], z[j]
     delta = zi - zj

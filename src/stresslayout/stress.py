@@ -1,4 +1,4 @@
-"""The stress objective over 2D layouts, its gradient, and layout utilities.
+"""The stress objective over 2D layouts, and layout utilities.
 
 A layout is a plain (n, 2) float array, which both optimizers move as n
 complex numbers x + iy (points) and whose coincident points they nudge
@@ -8,8 +8,8 @@ inverse squared target:
 
     sum_{i<j} (|x_i - x_j| - d_ij)**2 / d_ij**2
 
-stress, its gradient and both optimizers' sweeps all measure a layout
-distance as np.abs of a complex difference of points.
+stress and both optimizers' sweeps all measure a layout distance as
+np.abs of a complex difference of points.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def stress(coords, dist: DistanceMatrix) -> float:
     """Weighted squared deviation of layout distances from targets.
 
     Each length is np.abs of a complex difference of points, as in both
-    optimizers and stress_gradient: within about 2 ulp of the true
-    distance, where np.hypot is within 0.6 ulp but makes a call about
-    twice as slow.
+    optimizers: within about 2 ulp of the true distance, where np.hypot
+    is within 0.6 ulp but makes a call about twice as slow.
     The pair terms are computed STRESS_BLOCK pairs at a time, so scratch
     memory stays fixed as n grows, and their sum over all blocks is
     exactly rounded (ExactSum): the value is math.fsum of the terms, bit
@@ -140,49 +139,3 @@ class ExactSum:
         if self.counts[-1]:  # exponent field all ones: inf, or NaN if a mantissa bit is set
             return math.nan if self.highs[-1] or self.lows[-1] else math.inf
         return finite
-
-
-def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
-    """Analytic gradient of stress, one (dx, dy) row per vertex.
-
-    Sums each pair's pull over DistanceMatrix.pairs into both endpoints.
-    Undefined where two points coincide; raises ValueError there.
-    """
-    x = as_layout(coords, dist.n)
-    i, j, target = dist.pairs
-    z = points(x)
-    delta = z[i] - z[j]
-    lengths = np.abs(delta)
-    if (lengths == 0.0).any():
-        raise ValueError("coincident points: gradient term is singular")
-    pull = 2.0 * (lengths - target) / (target**2 * lengths) * delta
-    gradient = np.zeros(dist.n, dtype=complex)
-    np.add.at(gradient, i, pull)
-    np.subtract.at(gradient, j, pull)
-    return gradient.view(float).reshape(-1, 2)
-
-
-def procrustes_error(a, b) -> float:
-    """RMS residual after optimally mapping layout b onto layout a.
-
-    The map is the best similarity transform: translation, rotation or
-    reflection, and uniform scaling.  Zero means the layouts agree up to
-    such a transform.
-    """
-    xa = as_layout(a)
-    xb = as_layout(b)
-    if xa.shape[0] != xb.shape[0]:
-        raise ValueError(f"layouts differ in size: {xa.shape[0]} vs {xb.shape[0]}")
-    if xa.shape[0] < 2:
-        raise ValueError("need at least two points")
-    ac = xa - xa.mean(axis=0)
-    bc = xb - xb.mean(axis=0)
-    norm_a = (ac**2).sum()
-    norm_b = (bc**2).sum()
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("degenerate layout: all points coincide")
-    u, sigma, vt = np.linalg.svd(bc.T @ ac)
-    rotation = (u @ vt).T
-    scale = sigma.sum() / norm_b
-    residual = ac - scale * (bc @ rotation.T)
-    return math.sqrt((residual**2).sum() / xa.shape[0])

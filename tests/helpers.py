@@ -2,13 +2,19 @@
 
 Every oracle here deliberately avoids the code paths it is used to check:
 Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
-iteration, finite differences vs the analytic gradient, rotation grid
-search vs the closed-form similarity fit, an (n, 2) weighted-average
-majorization sweep vs the complex-coordinate one, the dense (n, n)
-gradient formula vs the sum over the pair table, one math.fsum over
-all pair terms vs stress's blocked integer-bin sum, and the modulo
+iteration, an (n, 2) weighted-average majorization sweep vs the
+complex-coordinate one, one math.fsum over all pair terms vs stress's
+blocked integer-bin sum, the scalar pair_update (math.hypot, one pair
+at a time) vs run_sgd's vectorized complex rounds, and the modulo
 circle formula with whole-iteration gathers from a full round table vs
 run_sgd's chunked window gathers over the slot ring.
+
+No run needs the rest, so they live here rather than in the package:
+stress_gradient, the analytic gradient summed over the pair table,
+which finite differences of stress and the dense (n, n) formula
+check; and procrustes_error, the closed-form similarity fit that
+compares layouts up to rotation, reflection, scale and shift, which a
+rotation grid search checks.
 """
 
 from __future__ import annotations
@@ -71,6 +77,26 @@ def reference_stress(coords, dist: DistanceMatrix) -> float:
     return math.fsum(memoryview(((lengths - target) / target) ** 2))
 
 
+def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
+    """Analytic gradient of stress, one (dx, dy) row per vertex.
+
+    Sums each pair's pull over DistanceMatrix.pairs into both endpoints.
+    Undefined where two points coincide; raises ValueError there.
+    """
+    x = as_layout(coords, dist.n)
+    i, j, target = dist.pairs
+    z = points(x)
+    delta = z[i] - z[j]
+    lengths = np.abs(delta)
+    if (lengths == 0.0).any():
+        raise ValueError("coincident points: gradient term is singular")
+    pull = 2.0 * (lengths - target) / (target**2 * lengths) * delta
+    gradient = np.zeros(dist.n, dtype=complex)
+    np.add.at(gradient, i, pull)
+    np.subtract.at(gradient, j, pull)
+    return gradient.view(float).reshape(-1, 2)
+
+
 def finite_difference_gradient(coords, dist: DistanceMatrix, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of the stress objective."""
     x = np.array(coords, dtype=float)
@@ -122,6 +148,32 @@ def top_eigenvalues(dist: DistanceMatrix, count: int = 4) -> np.ndarray:
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ d2 @ j
     return np.sort(np.linalg.eigvalsh(b))[::-1][:count]
+
+
+def procrustes_error(a, b) -> float:
+    """RMS residual after optimally mapping layout b onto layout a.
+
+    The map is the best similarity transform: translation, rotation or
+    reflection, and uniform scaling.  Zero means the layouts agree up to
+    such a transform.
+    """
+    xa = as_layout(a)
+    xb = as_layout(b)
+    if xa.shape[0] != xb.shape[0]:
+        raise ValueError(f"layouts differ in size: {xa.shape[0]} vs {xb.shape[0]}")
+    if xa.shape[0] < 2:
+        raise ValueError("need at least two points")
+    ac = xa - xa.mean(axis=0)
+    bc = xb - xb.mean(axis=0)
+    norm_a = (ac**2).sum()
+    norm_b = (bc**2).sum()
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("degenerate layout: all points coincide")
+    u, sigma, vt = np.linalg.svd(bc.T @ ac)
+    rotation = (u @ vt).T
+    scale = sigma.sum() / norm_b
+    residual = ac - scale * (bc @ rotation.T)
+    return math.sqrt((residual**2).sum() / xa.shape[0])
 
 
 def procrustes_grid_oracle(a, b, angles: int = 4000) -> float:
@@ -202,6 +254,23 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
         raise ValueError(f"vertex {i} coincides with another vertex")
     zi = _place(z, weights(dist)[i], dist.matrix[i], diff, lengths)
     return np.array([zi.real, zi.imag])
+
+
+def pair_update(p, q, d: float, mu: float):
+    """Move a single pair toward its target distance d by fraction mu.
+
+    Shrinks or extends the segment p--q symmetrically: with mu = 1 the new
+    distance is exactly d, and the midpoint is preserved exactly for any mu.
+    Returns the two new points.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    delta = p - q
+    length = math.hypot(float(delta[0]), float(delta[1]))
+    if length <= 0.0:
+        raise ValueError("coincident pair: update direction is undefined")
+    move = (0.5 * mu * (length - d) / length) * delta
+    return p - move, q + move
 
 
 def circle_rounds(n: int, rounds):

@@ -29,23 +29,24 @@ from stresslayout import (
     grid_graph,
     hybrid_layout,
     largest_connected_component,
-    pair_update,
     parse_matrix_market,
     path_graph,
     pivot_mds,
-    procrustes_error,
     random_init,
     run_sgd,
     run_smacof,
-    stress_gradient,
 )
 from stresslayout.cli import main
 from stresslayout.initializers import PivotConfig
+from stresslayout.sgd import _round
 from helpers import (
     euclidean_distance_matrix,
     finite_difference_gradient,
     floyd_warshall,
+    pair_update,
+    procrustes_error,
     random_connected_graph,
+    stress_gradient,
     top_eigenvalues,
 )
 
@@ -225,9 +226,12 @@ def test_criterion_5_gradient_matches_finite_differences():
 
 
 def test_criterion_6_pair_update_exactness():
+    # the oracle pair_update, and the same pair as one round of run_sgd (_round)
     rng = np.random.default_rng(77)
+    unused = np.random.default_rng(0)  # _round draws only for coincident pairs
     worst_rel = 0.0
     worst_mid = 0.0
+    worst_round = 0.0
     for _ in range(1000):
         p = rng.normal(scale=5.0, size=2)
         q = rng.normal(scale=5.0, size=2)
@@ -235,13 +239,19 @@ def test_criterion_6_pair_update_exactness():
             continue
         d = float(rng.uniform(0.5, 30.0))
         a, b = pair_update(p, q, d, mu=1.0)
-        worst_rel = max(worst_rel, abs(math.hypot(*(a - b)) - d) / d)
-        worst_mid = max(worst_mid, float(np.abs((a + b) / 2 - (p + q) / 2).max()))
+        z = np.array([complex(*p), complex(*q)])
+        _round(z, np.array([0]), np.array([1]), np.array([d]), np.array([0.5]), unused)
+        rounded = np.column_stack((z.real, z.imag))
+        for a_k, b_k in ((a, b), rounded):
+            worst_rel = max(worst_rel, abs(math.hypot(*(a_k - b_k)) - d) / d)
+            worst_mid = max(worst_mid, float(np.abs((a_k + b_k) / 2 - (p + q) / 2).max()))
+        worst_round = max(worst_round, float(np.abs(rounded - [a, b]).max()))
     _report(
         6,
         "mu=1 pair update exactness",
-        worst_rel <= 1e-12 and worst_mid <= 1e-12,
-        f"worst distance error {worst_rel:.3g} rel, worst midpoint drift {worst_mid:.3g}",
+        worst_rel <= 1e-12 and worst_mid <= 1e-12 and worst_round <= 1e-12,
+        f"worst distance error {worst_rel:.3g} rel, worst midpoint drift {worst_mid:.3g}, "
+        f"worst _round vs pair_update {worst_round:.3g}",
     )
 
 

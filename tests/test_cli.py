@@ -289,6 +289,20 @@ class TestBenchCommand:
         assert f"graph name {name} is given 2 times" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == ["a", "b"]
 
+    @pytest.mark.parametrize("extra", [["--iters", "3"], ["--eps", "0.5"],
+                                       ["--iters", "15", "--eps", "0.5"]])
+    def test_sgd_flags_without_sgd_fail_before_loading(self, workdir, capsys, monkeypatch,
+                                                      no_loading, extra):
+        def fail(config):
+            raise AssertionError("run_grid must not be called")
+
+        monkeypatch.setattr(cli, "run_grid", fail)
+        argv = ["bench", "path:6", "--algs", "smacof", "--inits", "cmds,random", "--reps", "2",
+                "--out", "r.csv", *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {extra[0]} applies only with sgd in --algs\n"
+        assert list(workdir.iterdir()) == []
+
 
 class TestHybridCommand:
     def test_report_rows(self, workdir):
@@ -581,6 +595,14 @@ class TestHelp:
         for flag in ("--reps", "--base-seed", "--out", "--trace"):
             assert flag in text
 
+    @pytest.mark.parametrize("command", ["bench", "hybrid"])
+    def test_sgd_flag_defaults_shown(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--iters ITERS SGD schedule length (default: 15)" in text
+        assert "--eps EPS final relative SGD step (default: 0.01)" in text
+
     def test_parser_builds(self):
         assert build_parser().prog == "stresslayout"
 
@@ -598,3 +620,19 @@ class TestFormatOverride:
     def test_unknown_family_is_a_file_path(self, workdir, capsys):
         assert main(["layout", "star:5"]) == 3
         assert "star:5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["layout", "grid:3,3", "--format", "mtx"],
+        ["bench", "path:6", "cycle:5", "--reps", "1", "--format", "edges"],
+        ["hybrid", "path:6", "--ks", "0", "--reps", "1", "--format", "edges"],
+        ["info", "path:4", "--format", "mtx"],
+    ])
+    def test_synthetic_inputs_only_fail(self, workdir, capsys, no_loading, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --format applies only to file inputs\n"
+        assert list(workdir.iterdir()) == []
+
+    def test_file_among_synthetic_inputs(self, workdir):
+        (workdir / "g.edges").write_text("0 1\n1 2\n")
+        assert main(["bench", "g.edges", "path:6", "--format", "edges", "--reps", "1",
+                     "--out", "r.csv"]) == 0

@@ -16,7 +16,6 @@ from stresslayout import (
     grid_graph,
     path_graph,
     pivot_mds,
-    procrustes_error,
     random_init,
     stress,
 )
@@ -26,6 +25,7 @@ from stresslayout.initializers import _pivots_with_rows
 from helpers import (
     cmds_eigh_oracle,
     euclidean_distance_matrix,
+    procrustes_error,
     random_connected_graph,
     top_eigenvalues,
 )

@@ -14,7 +14,6 @@ from stresslayout import (
     cycle_graph,
     generate,
     grid_graph,
-    pair_update,
     path_graph,
     random_init,
     run_sgd,
@@ -23,7 +22,7 @@ from stresslayout import (
 )
 from stresslayout import sgd
 from stresslayout.sgd import ITERATIONS, _round, _round_rows, step_widths
-from helpers import circle_rounds, random_connected_graph, reference_sgd
+from helpers import circle_rounds, pair_update, random_connected_graph, reference_sgd
 
 # (graph, d_max) with d_min = 1 on every one
 GRAPHS = [

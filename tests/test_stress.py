@@ -13,17 +13,17 @@ from stresslayout import (
     cycle_graph,
     grid_graph,
     path_graph,
-    procrustes_error,
     stress,
-    stress_gradient,
 )
 from stresslayout.stress import JITTER_EPSILON, STRESS_BLOCK, ExactSum, points, separate
 from helpers import (
     dense_stress_gradient,
     finite_difference_gradient,
+    procrustes_error,
     procrustes_grid_oracle,
     random_connected_graph,
     reference_stress,
+    stress_gradient,
 )
 
 P3_DIST = all_pairs_shortest_paths(path_graph(3))
