@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print the wall time of each pipeline layer on fixed grids.
 
-One markdown table: a row per layer (BFS all-pairs distances, classical
-MDS, PivotMDS with k = 100, a default 15-iteration run_sgd with its 16
-stress() calls, one SMACOF sweep, one stress() call) and a column per
-graph.  Each cell is the median of --repeats timed calls after one
-untimed warm-up call.  The sweep and the stress() call start from the
+One markdown table: a row per layer (loading: generate plus
+connected_components, BFS all-pairs distances, classical MDS, PivotMDS
+with k = 100, a default 15-iteration run_sgd with its 16 stress()
+calls, one SMACOF sweep, one stress() call) and a column per graph.
+Each cell is the median of --repeats timed calls after one untimed
+warm-up call.  The sweep and the stress() call start from the
 classical-MDS layout, and the sweep's weights are built before it is
 timed; run_sgd starts from random_init(n, 0).
 
@@ -28,6 +29,7 @@ from stresslayout import (  # noqa: E402
     SgdConfig,
     all_pairs_shortest_paths,
     classical_mds,
+    connected_components,
     pivot_mds,
     random_init,
     run_sgd,
@@ -40,13 +42,16 @@ from stresslayout.smacof import weights  # noqa: E402
 GRAPHS = ("grid:10,10", "grid:30,30", "grid:40,50")
 
 
-def layers(graph):
-    """(label, zero-argument call) per layer of one graph."""
+def layers(spec):
+    """The vertex count and (label, zero-argument call) per layer of the graph spec names."""
+    _, graph = load_graph(spec)
     dist = all_pairs_shortest_paths(graph)
     cmds = classical_mds(dist)
     wn = weights(dist)
     start = random_init(graph.n, 0)
-    return [
+    return graph.n, [
+        ("Load (`generate` + components)",
+         lambda: connected_components(load_graph(spec)[1])),
         ("BFS all-pairs distances", lambda: all_pairs_shortest_paths(graph)),
         ("`classical_mds`", lambda: classical_mds(dist)),
         ("`pivot_mds` (k = 100)", lambda: pivot_mds(graph, PivotConfig())),
@@ -80,9 +85,9 @@ def main(argv=None) -> int:
         parser.error("--repeats must be positive")
     columns = []
     for spec in args.graphs:
-        _, graph = load_graph(spec)
-        timed = [(label, median_seconds(call, args.repeats)) for label, call in layers(graph)]
-        columns.append((f"n = {graph.n} (`{spec}`)", timed))
+        n, calls = layers(spec)
+        timed = [(label, median_seconds(call, args.repeats)) for label, call in calls]
+        columns.append((f"n = {n} (`{spec}`)", timed))
     print("| Layer | " + " | ".join(header for header, _ in columns) + " |")
     print("|---" * (len(columns) + 1) + "|")
     for row, (label, _) in enumerate(columns[0][1]):

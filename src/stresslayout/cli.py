@@ -10,8 +10,9 @@ with --format, which needs a file among the inputs) or synthetic
 specifiers like ``path:100``, ``cycle:100``, ``grid:10,10``,
 ``complete:12`` (graphs.synthetic_spec reads them).
 Every subcommand loads through load_graph, which checks a specifier
-against memory before generating it; layout, bench and hybrid check a
-file after parsing and reduction to its largest component.
+against memory before generating it and a file, by its size, before
+reading it; layout, bench and hybrid check a file's run again after
+parsing and reduction to its largest component.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bench import (
     INITIALIZERS,
@@ -67,16 +70,20 @@ SGD_K = 7
 # from any initializer up to n = 2000 peaked at most 40.3 MiB above
 # their n x n terms, and layout grid:40,50 peaks at 117.8 MiB (sgd) and
 # 148.3 MiB (smacof, --iters 3) against estimates of 123.5 and 154.0.
-# EDGE_BYTES is the peak of building the Python graph, per edge.  With
-# CPython 3.11, generate's tracemalloc peak read 395, 311 and 243 B per
-# edge on path:100000, grid:300,300 and complete:800, and its peak RSS
-# grew by 434, 345 and 242 B per edge on path:200000, grid:400,400 and
-# complete:1000.  Components and the reduction of a connected graph
-# peak below it, so the term covers info as well.
+# EDGE_BYTES is the peak of loading a graph, per edge: the larger of
+# generate and of reading and parsing a file, which holds a Python
+# object per line and per pair until Graph.from_edges sorts their keys
+# into the graph's 16 B per edge of CSR.  With CPython 3.11 the peak
+# RSS of parsing an edge list grew by 296, 223 and 165 B per edge on
+# path:200000, grid:400,400 and complete:1000 (a Matrix Market file:
+# 303 and 306 on the first two), and of generate by 75, 80 and 76.
+# connected_components searches transient tuples of the rows, which
+# peak at 230, 173 and 96 B per edge after generate, so the term
+# covers components, the reduction and info as well.
 MIB = 2**20
 RUN_FLOOR = 41 * MIB
 APSP_TRANSIENT = 0.15
-EDGE_BYTES = 440
+EDGE_BYTES = 310
 
 
 class _StrictDisconnected(Exception):
@@ -227,7 +234,8 @@ def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
     """Estimated peak memory of loading a graph of n vertices and m edges
     and, given an algorithm, of one run on it, in bytes.
 
-    Loading costs the run floor plus EDGE_BYTES per edge.  A run adds the
+    Loading costs the run floor plus EDGE_BYTES per edge; the loaded
+    Graph itself keeps 16 B per edge and 8 per vertex.  A run adds the
     arrays it holds throughout: the distance matrix (8 n**2), its pair
     table (12 n**2: two int64 indices and one float64 target per
     unordered pair) and, for smacof and hybrid, the majorization weights
@@ -257,11 +265,16 @@ def check_memory(name: str, n: int, m: int, algorithms=()) -> None:
     """Fail fast if a graph of n vertices and m edges, with a run of each of
     algorithms on it, cannot fit in memory; with no algorithms, the graph alone."""
     estimate = max(peak_bytes(n, m, algorithm) for algorithm in algorithms or (None,))
+    _refuse_over_limit(f"{name}: a run on n = {n} vertices and m = {m} edges", estimate)
+
+
+def _refuse_over_limit(what: str, estimate: int) -> None:
+    """Raise ValueError if estimate bytes exceed physical memory; what names the need."""
     limit = memory_limit()
     if limit is not None and estimate > limit:
         raise ValueError(
-            f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
-            f"{estimate / MIB:.0f} MiB, more than the {limit / MIB:.0f} MiB of physical memory"
+            f"{what} needs about {estimate / MIB:.0f} MiB, "
+            f"more than the {limit / MIB:.0f} MiB of physical memory"
         )
 
 
@@ -276,6 +289,9 @@ def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, G
 
     A specifier is checked against memory at the n and edge bound it
     implies, for a run of each of algorithms, before generate builds it.
+    A file is checked before it is read, for loading alone: every edge
+    takes a line of at least 4 bytes ("0 1" and a newline), so a file
+    of size bytes holds at most (size + 1) // 4 edges.
     """
     synthetic = synthetic_spec(spec)
     if synthetic is not None:
@@ -283,6 +299,10 @@ def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, G
         check_memory(name, n, m, algorithms)
         return name, generate(family, *sizes)
     path = Path(spec)
+    size = path.stat().st_size
+    m = (size + 1) // 4
+    _refuse_over_limit(f"{path.stem}: loading a file of {size} bytes (at most m = {m} edges)",
+                       peak_bytes(0, m))
     text = path.read_text()
     if fmt is None:
         fmt = "mtx" if path.suffix.lower() == ".mtx" else "edges"
@@ -294,16 +314,13 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
     """Load, reduce to the largest connected component, require n >= 2,
     and fail fast if a run on it cannot fit in memory.
 
-    load_graph has checked a synthetic spec before generating it; the
-    check here, after reduction, is the one a file gets.
+    load_graph has checked a synthetic spec's run before generating it,
+    and a file's loading before reading it; the check here, after
+    reduction, is the one a file's run gets.
     """
     name, graph = load_graph(spec, fmt, algorithms)
-    components = connected_components(graph)
+    components = _components(spec, graph, strict)
     if len(components) > 1:
-        if strict:
-            raise _StrictDisconnected(
-                f"{spec}: graph has {len(components)} components (strict mode)"
-            )
         reduced = largest_connected_component(graph, components)
         print(
             f"warning: {spec} has {len(components)} components; "
@@ -315,6 +332,14 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
     if graph.n < 2:
         raise ValueError(f"{spec}: need at least two connected vertices, got {graph.n}")
     return name, graph
+
+
+def _components(spec: str, graph: Graph, strict: bool) -> list[list[int]]:
+    """connected_components(graph); more than one is an error under --strict."""
+    components = connected_components(graph)
+    if strict and len(components) > 1:
+        raise _StrictDisconnected(f"{spec}: graph has {len(components)} components (strict mode)")
+    return components
 
 
 def _initial(init: str, graph, dist, seed: int, pivots: PivotConfig):
@@ -426,7 +451,7 @@ def _write_report(traces, args) -> int:
 def cmd_info(args) -> int:
     _check_format(args.format, [args.input])
     name, graph = load_graph(args.input, args.format)
-    components = connected_components(graph)
+    components = _components(args.input, graph, args.strict)
     print(f"graph: {name}")
     print(f"vertices: {graph.n}")
     print(f"edges: {graph.m}")
@@ -439,8 +464,8 @@ def cmd_info(args) -> int:
         # one BFS per source, holding one row at a time instead of the n x n matrix
         diameter = max(max(bfs_hops(largest, s)) for s in range(largest.n))
         print(f"diameter (largest component): {diameter}")
-        degrees = [largest.degree(i) for i in range(largest.n)]
-        print(f"degree range: {min(degrees)}..{max(degrees)}")
+        degrees = np.diff(largest.indptr)
+        print(f"degree range: {degrees.min()}..{degrees.max()}")
     return 0
 
 

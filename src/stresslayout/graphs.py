@@ -4,10 +4,12 @@ Input graphs come from Matrix Market files (the sparse-matrix benchmark
 format), plain edge lists, or the synthetic families of FAMILIES, named
 by specifiers like ``grid:10,10`` that synthetic_spec reads.  Everything
 is normalized to a simple undirected graph on vertices [0, n): self-loops
-dropped, duplicate/reversed edges merged.  Distances are unweighted hop
-counts: all_pairs_shortest_paths runs a level-synchronous numpy BFS over
-blocks of sources and fills the rows of an independent set from their
-neighbours' rows; bfs_hops answers one source at a time.  A
+dropped, duplicate/reversed edges merged.  A Graph is one pair of
+read-only numpy CSR arrays that every layer reads in place; no layer
+keeps a copy.  Distances are unweighted hop counts:
+all_pairs_shortest_paths runs a level-synchronous numpy BFS over blocks
+of sources straight on those arrays and fills the rows of an independent
+set from their neighbours' rows; bfs_hops answers one source at a time.  A
 DistanceMatrix holds only checked distances (a zero between distinct
 vertices is refused when it is built) and their pair table; the
 majorization weights belong to each smacof run.
@@ -19,7 +21,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -32,46 +33,59 @@ class DisconnectedGraphError(ValueError):
     """An operation that needs finite distances was given a disconnected graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with contiguous 0-based vertex ids.
+    """Simple undirected graph with contiguous 0-based vertex ids, in CSR form.
 
-    ``edges`` holds each edge once as a sorted ``(i, j)`` pair with i < j,
-    in sorted order; ``adjacency`` is the derived per-vertex sorted
-    neighbor tuple.  Instances are immutable and safe to share.
+    Row v, ``indices[indptr[v]:indptr[v + 1]]``, lists v's neighbours in
+    ascending order.  Both arrays are read-only int64 and every layer
+    reads them in place; instances are immutable and safe to share.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Normalize an edge iterable: drop self-loops, merge duplicates."""
+        """Normalize an (m, 2) array or sequence of pairs: drop self-loops, merge duplicates."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        cleaned = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                continue
-            cleaned.add((i, j) if i < j else (j, i))
-        edge_tuple = tuple(sorted(cleaned))
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for i, j in edge_tuple:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        adjacency = tuple(tuple(sorted(a)) for a in neighbors)
-        return cls(n=n, edges=edge_tuple, adjacency=adjacency)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)  # refuses other shapes
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            i, j = pairs[outside.argmax()].tolist()
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]  # edge i < j as i * n + j
+        # stable sorts merge the presorted runs that generators and most files
+        # give in linear time, and page in less code than quicksort's SIMD kernels
+        keys.sort(kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are nonnegative
+        both = np.concatenate((keys, keys % n * n + keys // n))  # i * n + j and j * n + i
+        both.sort(kind="stable")
+        indptr = both.searchsorted(np.arange(n + 1) * n)
+        indices = np.remainder(both, n, out=both)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(n=n, indptr=indptr, indices=indices)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) array of each edge once as (i, j) with i < j, rows in ascending order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = self.indices > rows
+        return np.column_stack((rows[upper], self.indices[upper]))
+
+    @cached_property
+    def neighbours(self) -> list[tuple[int, ...]]:
+        """The rows as tuples of Python ints, built on first use and kept for
+        the single-source searches (bfs_hops) that follow."""
+        return _neighbour_rows(self)
 
 
 class DistanceMatrix:
@@ -227,9 +241,13 @@ def parse_edge_list(source) -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, in order of smallest member."""
+    """Vertex lists of the connected components, in order of smallest member.
+
+    Searches lists built for this call alone, so g keeps only its arrays.
+    """
+    neighbours = _neighbour_rows(g)
     hops = [-1] * g.n
-    return [sorted(_bfs(g, s, hops)) for s in range(g.n) if hops[s] < 0]
+    return [sorted(_bfs(neighbours, s, hops)) for s in range(g.n) if hops[s] < 0]
 
 
 def largest_connected_component(g: Graph, components=None) -> Graph:
@@ -246,12 +264,23 @@ def largest_connected_component(g: Graph, components=None) -> Graph:
     best = max(components, key=len, default=[])  # first wins ties
     if len(best) == g.n:
         return g
-    remap = {v: k for k, v in enumerate(best)}
-    edges = [(remap[i], remap[j]) for i, j in g.edges if i in remap and j in remap]
-    return Graph.from_edges(len(best), edges)
+    remap = np.full(g.n, -1)
+    remap[best] = np.arange(len(best))
+    edges = remap[g.edges]
+    return Graph.from_edges(len(best), edges[edges[:, 0] >= 0])  # an edge leaves no component
 
 
-def _bfs(g: Graph, source: int, hops: list[int]) -> list[int]:
+def _neighbour_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Row v of g's CSR arrays as a tuple of Python ints, for every v.
+
+    Tuples hold their items inline, so a search reads one object per row
+    where a list would add an indirection (about 4 % of info's diameter).
+    """
+    indices, bounds = g.indices.tolist(), g.indptr.tolist()
+    return [tuple(indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _bfs(neighbours: list[tuple[int, ...]], source: int, hops: list[int]) -> list[int]:
     """Breadth-first search from source through vertices with hops[v] < 0.
 
     Writes each reached vertex's hop count from source into hops and
@@ -261,7 +290,7 @@ def _bfs(g: Graph, source: int, hops: list[int]) -> list[int]:
     order = [source]
     for v in order:  # the queue: vertices appended here are visited in turn
         dv = hops[v] + 1
-        for u in g.adjacency[v]:
+        for u in neighbours[v]:
             if hops[u] < 0:
                 hops[u] = dv
                 order.append(u)
@@ -274,7 +303,7 @@ def bfs_hops(g: Graph, source: int) -> list[int]:
     Every call is a distance query: connected_components runs _bfs itself.
     """
     hops = [-1] * g.n
-    _bfs(g, source, hops)
+    _bfs(g.neighbours, source, hops)
     return hops
 
 
@@ -285,8 +314,8 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     level-synchronous BFS over a block of sources (_bfs_block); each row
     of the set is then one plus the elementwise minimum of its
     neighbours' rows, since a shortest path from s leaves s through a
-    neighbour.  Besides the result and a CSR copy of the adjacency,
-    scratch stays within a few times _scratch_entries(n) entries.
+    neighbour.  The search reads the graph's own CSR arrays; besides the
+    result, scratch stays within a few times _scratch_entries(n) entries.
 
     Connectivity is read after the blocks, before the fill, from one
     searched row of vertex 0's component: vertex 0's own, or its first
@@ -298,11 +327,7 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    degree = np.fromiter(map(len, g.adjacency), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=indptr[-1])
-    csr = (degree, indptr, indices)
+    csr = (np.diff(g.indptr), g.indptr, g.indices)
     independent = _independent_set(g)
     d = np.full((n, n), -1.0)
     budget = _scratch_entries(n)
@@ -313,14 +338,13 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
         widest = _bfs_block(d.reshape(-1), chunk, csr, budget)
         peak = max(peak, -(-widest // chunk.size))  # widest frontier per source so far
         block = max(1, budget // peak)
-    del csr, indptr, indices  # gone before DistanceMatrix allocates its checks
     # rows of the independent set are not searched: read 0's first neighbour's instead
-    missing = np.flatnonzero(d[g.adjacency[0][0] if independent[0] else 0] < 0.0)
+    missing = np.flatnonzero(d[g.indices[0] if independent[0] else 0] < 0.0)
     if missing.size:
         raise DisconnectedGraphError(f"vertex {missing[0]} unreachable from vertex 0")
     for s in np.flatnonzero(independent).tolist():
         row = d[s]
-        first, *rest = g.adjacency[s]
+        first, *rest = g.indices[g.indptr[s]:g.indptr[s + 1]].tolist()
         np.copyto(row, d[first])
         for u in rest:
             np.minimum(row, d[u], out=row)
@@ -339,13 +363,12 @@ def _independent_set(g: Graph) -> np.ndarray:
 
     Isolated vertices stay out: their rows have no neighbours to fill from.
     """
-    taken = np.zeros(g.n, dtype=bool)
-    blocked = [False] * g.n
-    for v in sorted(range(g.n), key=lambda v: len(g.adjacency[v])):
-        if not blocked[v] and g.adjacency[v]:
+    taken, blocked = np.zeros((2, g.n), dtype=bool)
+    bounds = g.indptr.tolist()
+    for v in np.diff(g.indptr).argsort(kind="stable").tolist():
+        if not blocked[v] and bounds[v] < bounds[v + 1]:
             taken[v] = True
-            for u in g.adjacency[v]:
-                blocked[u] = True
+            blocked[g.indices[bounds[v]:bounds[v + 1]]] = True
     return taken
 
 
@@ -407,32 +430,26 @@ def _expand(flat, frontier, level: float, csr, budget: int) -> np.ndarray:
 
 def path_graph(n: int) -> Graph:
     _check_size(n)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, np.arange(n - 1)[:, None] + [0, 1])
 
 
 def cycle_graph(n: int) -> Graph:
     _check_size(n)
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, (np.arange(n)[:, None] + [0, 1]) % n)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols lattice with 4-neighborhood."""
     _check_size(rows)
     _check_size(cols)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
+    v = np.arange(rows * cols)[:, None]
+    edges = np.concatenate((v[v[:, 0] % cols < cols - 1] + [0, 1], v[:-cols] + [0, cols]))
     return Graph.from_edges(rows * cols, edges)
 
 
 def complete_graph(n: int) -> Graph:
     _check_size(n)
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 # family: (generator, number of sizes, bound on the edge count from the sizes).

@@ -45,7 +45,7 @@ def render_svg(coords, graph: Graph, destination) -> None:
         f'<rect width="{VIEWPORT:.0f}" height="{VIEWPORT:.0f}" fill="white"/>\n',
         '<g stroke="#444444" stroke-width="1">\n',
     ]
-    for i, j in graph.edges:
+    for i, j in graph.edges.tolist():
         parts.append(
             f'<line x1="{fitted[i][0]:.4f}" y1="{fitted[i][1]:.4f}" '
             f'x2="{fitted[j][0]:.4f}" y2="{fitted[j][1]:.4f}"/>\n'

@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and instance generators.
 
 Every oracle here deliberately avoids the code paths it is used to check:
+set-and-tuple edge normalization vs Graph.from_edges's sorted numpy keys,
 Floyd-Warshall vs per-source BFS, dense eigendecomposition vs power
 iteration, an (n, 2) weighted-average majorization sweep vs the
 complex-coordinate one, one math.fsum over all pair terms vs stress's
@@ -42,6 +43,29 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
+    """Graph.from_edges normalization with sets and tuples of Python ints.
+
+    Returns (edges, adjacency): each edge once as a sorted (i, j) pair
+    with i < j, in sorted order, and the per-vertex sorted neighbour
+    tuple, as the graph's CSR rows must read.
+    """
+    cleaned = set()
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        if i == j:
+            continue
+        cleaned.add((i, j) if i < j else (j, i))
+    edge_tuple = tuple(sorted(cleaned))
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edge_tuple:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return edge_tuple, tuple(tuple(sorted(a)) for a in neighbors)
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:

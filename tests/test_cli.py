@@ -429,6 +429,23 @@ class TestInfoCommand:
         assert main(["info", "g.edges"]) == 0
         assert f"diameter (largest component): {expected}\n" in capsys.readouterr().out
 
+    def test_strict_disconnected_exits_2(self, workdir, capsys):
+        (workdir / "d.edges").write_text(DISCONNECTED_EDGES)
+        assert main(["layout", "d.edges", "--strict"]) == 2
+        layout_err = capsys.readouterr().err
+        assert main(["info", "d.edges", "--strict"]) == 2
+        out, err = capsys.readouterr()
+        assert err == layout_err == "error: d.edges: graph has 2 components (strict mode)\n"
+        assert out == ""
+        assert main(["info", "d.edges"]) == 0
+        assert "components: 2" in capsys.readouterr().out
+
+    def test_strict_connected_prints_statistics(self, workdir, capsys):
+        assert main(["info", "grid:3,4"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["info", "grid:3,4", "--strict"]) == 0
+        assert capsys.readouterr().out == plain
+
     @pytest.mark.parametrize("command", ["info", "layout"])
     def test_one_component_search(self, workdir, monkeypatch, command):
         # the reduction to the largest component reuses the components its caller found
@@ -563,6 +580,44 @@ class TestSizeGuard:
         err = capsys.readouterr().err
         assert (f"g: a run on n = 30 vertices and m = 29 edges needs about "
                 f"{estimate / 2**20:.0f} MiB") in err
+
+    @pytest.mark.parametrize("argv", [
+        ["info", "g.edges"],
+        ["info", "g.mtx"],
+        ["layout", "g.edges"],
+        ["bench", "g.edges", "--reps", "1", "--out", "r.csv"],
+        ["hybrid", "g.edges", "--reps", "1", "--out", "h.csv"],
+    ])
+    def test_file_checked_before_reading(self, workdir, capsys, monkeypatch, argv):
+        text = {"g.edges": "".join(f"{i} {i + 1}\n" for i in range(100)),
+                "g.mtx": P3_MTX}[argv[1]]
+        (workdir / argv[1]).write_text(text)
+        size = len(text)
+        estimate = peak_bytes(0, (size + 1) // 4)
+
+        def fail(*args):
+            raise AssertionError("the file was parsed")
+
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        monkeypatch.setattr(cli, "parse_edge_list", fail)
+        monkeypatch.setattr(cli, "parse_matrix_market", fail)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: g: loading a file of {size} bytes (at most m = {(size + 1) // 4} "
+                       f"edges) needs about {estimate / 2**20:.0f} MiB, more than the "
+                       f"{(estimate - 1) / 2**20:.0f} MiB of physical memory\n")
+        assert [p.name for p in workdir.iterdir()] == [argv[1]]
+
+    @pytest.mark.parametrize("text", ["0 1\n" * 50, "0 1\n" * 49 + "0 1"],
+                             ids=["newline", "no_final_newline"])
+    def test_file_bound_is_tight_for_shortest_lines(self, workdir, capsys, monkeypatch, text):
+        # 50 lines of the shortest form, "0 1", hold 50 edges: the bound charges no more
+        (workdir / "g.edges").write_text(text)
+        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(0, 50))
+        assert main(["info", "g.edges"]) == 0
+        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(0, 50) - 1)
+        assert main(["info", "g.edges"]) == 1
+        assert "at most m = 50 edges" in capsys.readouterr().err
 
     def test_fits_at_the_limit(self, workdir, monkeypatch):
         monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, 12, "sgd"))

@@ -26,7 +26,7 @@ from stresslayout import (
 )
 from stresslayout import graphs
 from stresslayout.graphs import FAMILIES, bfs_hops, synthetic_spec
-from helpers import floyd_warshall, random_connected_graph
+from helpers import floyd_warshall, random_connected_graph, reference_from_edges
 
 
 def bfs_rows(g):
@@ -53,17 +53,17 @@ class TestMatrixMarket:
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
         g = parse_matrix_market(text)
         assert g.n == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_self_loop_only(self):
         g = parse_matrix_market("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
         assert g.n == 1
-        assert g.edges == ()
+        assert g.edges.tolist() == []
 
     def test_general_banner_merges_reversed_duplicates(self):
         text = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n2 1\n"
         g = parse_matrix_market(text)
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_real_values_ignored(self):
         text = (
@@ -76,11 +76,11 @@ class TestMatrixMarket:
         )
         g = parse_matrix_market(text)
         assert g.n == 3
-        assert g.edges == ((0, 1), (0, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
 
     def test_file_like_input(self):
         handle = io.StringIO("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n")
-        assert parse_matrix_market(handle).edges == ((0, 1),)
+        assert parse_matrix_market(handle).edges.tolist() == [[0, 1]]
 
     def test_comments_and_blank_lines(self):
         text = (
@@ -91,7 +91,7 @@ class TestMatrixMarket:
             "\n"
             "2 1 7\n"
         )
-        assert parse_matrix_market(text).edges == ((0, 1),)
+        assert parse_matrix_market(text).edges.tolist() == [[0, 1]]
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -131,21 +131,21 @@ class TestEdgeList:
     def test_basic(self):
         g = parse_edge_list("0 1\n1 2\n")
         assert g.n == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_remap_first_seen_and_merge(self):
         g = parse_edge_list("5 7\n7 5\n")
         assert g.n == 2
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_self_loop_registers_vertex(self):
         g = parse_edge_list("3 3\n")
         assert g.n == 1
-        assert g.edges == ()
+        assert g.edges.tolist() == []
 
     def test_comments_and_blanks(self):
         g = parse_edge_list("# heading\n\n0 1\n# tail\n")
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_non_integer_token(self):
         with pytest.raises(GraphFormatError, match="line 1"):
@@ -163,24 +163,52 @@ class TestEdgeList:
 class TestGraphType:
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (2, 2), (1, 2)])
-        assert g.edges == ((0, 1), (1, 2))
-        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        assert g.indices.tolist() == [1, 0, 2, 1]
 
     def test_from_edges_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
+        pairs = [(0, 1), (1, 1), (3, -1), (0, 2)]  # the first pair out of range is named
+        for normalize in (Graph.from_edges, reference_from_edges):
+            with pytest.raises(ValueError) as error:
+                normalize(2, pairs)
+            assert str(error.value) == "edge (3,-1) out of range for n=2"
 
-    @given(st.integers(2, 12), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_adjacency_symmetric_no_self_loops(self, n, data):
-        pairs = data.draw(
-            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
-        )
+    @given(st.integers(0, 15).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40) if n else st.just([]))))
+    @settings(max_examples=150, deadline=None)
+    def test_from_edges_matches_reference(self, graph):
+        # draws hold self-loops, duplicates, reversed pairs and isolated vertices
+        n, pairs = graph
+        edges, adjacency = reference_from_edges(n, pairs)
         g = Graph.from_edges(n, pairs)
-        for i in range(g.n):
-            assert i not in g.adjacency[i]
-            for j in g.adjacency[i]:
-                assert i in g.adjacency[j]
+        assert g.n == n and g.m == len(edges)
+        assert g.edges.shape == (len(edges), 2)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.indptr.tolist() == [0, *itertools.accumulate(map(len, adjacency))]
+        assert g.indices.tolist() == [j for row in adjacency for j in row]
+        rows = [g.indices[g.indptr[i]:g.indptr[i + 1]].tolist() for i in range(n)]
+        for i, row in enumerate(rows):
+            assert row == sorted(set(row)) and i not in row
+            assert all(i in rows[j] for j in row)
+        for array in (g.indptr, g.indices):
+            assert array.dtype == np.int64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_from_edges_takes_arrays(self):
+        pairs = np.array([[2, 0], [0, 2], [1, 1]])
+        g = Graph.from_edges(3, pairs)
+        assert g.edges.tolist() == [[0, 2]]
+        assert pairs.tolist() == [[2, 0], [0, 2], [1, 1]]  # the input is not modified
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (1, 2, 0)], [0, 1, 1, 2], np.arange(6).reshape(2, 3)],
+                             ids=["triples", "flat", "array_of_triples"])
+    def test_from_edges_refuses_other_shapes(self, edges):
+        with pytest.raises(ValueError):
+            Graph.from_edges(6, edges)
 
 
 class TestComponents:
@@ -197,18 +225,29 @@ class TestComponents:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         lcc = largest_connected_component(g)
         assert lcc.n == 3
-        assert lcc.edges == ((0, 1), (1, 2))
+        assert lcc.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_tie_goes_to_smallest_vertex_id(self):
         g = Graph.from_edges(4, [(0, 3), (1, 2)])
         lcc = largest_connected_component(g)
         assert lcc.n == 2
         # component {0, 3} wins the tie and is reindexed to {0, 1}
-        assert lcc.edges == ((0, 1),)
+        assert lcc.edges.tolist() == [[0, 1]]
 
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
         assert largest_connected_component(g).n == 0
+
+    def test_searches_leave_the_graph_its_arrays(self):
+        # components search transient lists; single-source searches share one cached list form
+        g = grid_graph(3, 4)
+        connected_components(g)
+        assert sorted(vars(g)) == ["indices", "indptr", "n"]
+        bfs_hops(g, 0)
+        rows = g.neighbours
+        bfs_hops(g, 5)
+        assert g.neighbours is rows
+        assert rows == [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
 
     def test_component_listing(self):
         g = Graph.from_edges(5, [(0, 1), (3, 4)])
@@ -263,7 +302,7 @@ class TestShortestPaths:
     def test_distance_one_iff_edge_and_triangle_inequality(self):
         g = random_connected_graph(20, 15, 99)
         d = all_pairs_shortest_paths(g).matrix
-        edges = set(g.edges)
+        edges = set(map(tuple, g.edges.tolist()))
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 assert (d[i, j] == 1) == ((i, j) in edges)
@@ -338,16 +377,15 @@ class TestShortestPaths:
             else:
                 assert np.array_equal(all_pairs_shortest_paths(g).matrix, expected)
 
-    @pytest.mark.parametrize("g,dense", [
-        (cycle_graph(600), False),
-        (path_graph(600), False),
-        (star_graph(600), False),
-        (random_connected_graph(600, 150, 7), False),
+    @pytest.mark.parametrize("g", [
+        cycle_graph(600),
+        path_graph(600),
+        star_graph(600),
+        random_connected_graph(600, 150, 7),
         # at n = 500 the 2**13-entry floor of BFS scratch is still a small share of the result
-        (complete_graph(500), True),
+        complete_graph(500),
     ], ids=["cycle600", "path600", "star600", "tree_chords600", "complete500"])
-    def test_peak_memory_near_result_on_other_shapes(self, g, dense):
-        csr = 16 * g.m if dense else 0  # the CSR copy of a dense adjacency: 16 bytes per edge
+    def test_peak_memory_near_result_on_other_shapes(self, g):
         all_pairs_shortest_paths(path_graph(3))  # one-time allocations of a first call
         tracemalloc.start()
         try:
@@ -355,17 +393,17 @@ class TestShortestPaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * d.matrix.nbytes + csr
+        assert peak <= 1.25 * d.matrix.nbytes
 
 
 class TestGenerators:
     def test_path(self):
-        assert path_graph(3).edges == ((0, 1), (1, 2))
+        assert path_graph(3).edges.tolist() == [[0, 1], [1, 2]]
 
     def test_cycle(self):
         g = cycle_graph(3)
         assert g.m == 3
-        assert all(g.degree(i) == 2 for i in range(3))
+        assert np.diff(g.indptr).tolist() == [2, 2, 2]
 
     def test_grid(self):
         g = grid_graph(2, 2)

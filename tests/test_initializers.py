@@ -149,7 +149,7 @@ class TestClassicalMds:
         # more than 1000 steps
         monkeypatch.setattr(initializers, "POWER_MAX_ITERS", 1000)
         g = grid_graph(20, 20)
-        g = Graph.from_edges(g.n, [e for e in g.edges if e != (0, 1)])
+        g = Graph.from_edges(g.n, [e for e in g.edges.tolist() if e != [0, 1]])
         dist = all_pairs_shortest_paths(g)
         eigs = top_eigenvalues(dist, 2)
         assert 0 < eigs[0] - eigs[1] < 1e-3 * eigs[0]

@@ -5,6 +5,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "layer_times.py"
 
 LAYERS = [
+    "Load (`generate` + components)",
     "BFS all-pairs distances",
     "`classical_mds`",
     "`pivot_mds` (k = 100)",
