@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Print the wall time of each pipeline layer on fixed grids.
+"""Print the wall time and peak traced memory of each pipeline layer on fixed grids.
 
-One markdown table: a row per layer (loading: generate plus
+Two markdown tables, each with a row per layer (loading: generate plus
 connected_components, BFS all-pairs distances, classical MDS, PivotMDS
 with k = 100, a default 15-iteration run_sgd with its 16 stress()
 calls, one SMACOF sweep, one stress() call) and a column per graph.
-Each cell is the median of --repeats timed calls after one untimed
-warm-up call.  The sweep and the stress() call start from the
-classical-MDS layout, and the sweep's weights are built before it is
-timed; run_sgd starts from random_init(n, 0).
+In the first, each cell is the median of --repeats timed calls after
+one untimed warm-up call.  In the second, each cell is the tracemalloc
+peak of one more call: the bytes that call allocates at its peak,
+beyond what was allocated before it (such as the distance matrix, its
+pair table and the sweep's weights).  The sweep and the stress() call
+start from the classical-MDS layout, and the sweep's weights are built
+before it is timed; run_sgd starts from random_init(n, 0).
 
     python3 scripts/layer_times.py
     python3 scripts/layer_times.py --graphs grid:3,3 --repeats 1
@@ -20,6 +23,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -72,8 +76,30 @@ def median_seconds(call, repeats: int) -> float:
     return statistics.median(times)
 
 
+def peak_traced_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def show(seconds: float) -> str:
     return f"{seconds:.3g} s" if seconds >= 1.0 else f"{seconds * 1e3:.3g} ms"
+
+
+def show_bytes(size: int) -> str:
+    return f"{size / 2**20:.3g} MiB" if size >= 2**20 else f"{size / 2**10:.3g} KiB"
+
+
+def print_table(first: str, columns, show_cell) -> None:
+    """One markdown table: columns is a list of (header, [(label, value)])."""
+    print(f"| {first} | " + " | ".join(header for header, _ in columns) + " |")
+    print("|---" * (len(columns) + 1) + "|")
+    for row, (label, _) in enumerate(columns[0][1]):
+        print(f"| {label} | " + " | ".join(show_cell(cells[row][1]) for _, cells in columns)
+              + " |")
 
 
 def main(argv=None) -> int:
@@ -83,15 +109,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
-    columns = []
+    times, peaks = [], []
     for spec in args.graphs:
         n, calls = layers(spec)
-        timed = [(label, median_seconds(call, args.repeats)) for label, call in calls]
-        columns.append((f"n = {n} (`{spec}`)", timed))
-    print("| Layer | " + " | ".join(header for header, _ in columns) + " |")
-    print("|---" * (len(columns) + 1) + "|")
-    for row, (label, _) in enumerate(columns[0][1]):
-        print(f"| {label} | " + " | ".join(show(timed[row][1]) for _, timed in columns) + " |")
+        header = f"n = {n} (`{spec}`)"
+        times.append((header, [(label, median_seconds(call, args.repeats))
+                               for label, call in calls]))
+        peaks.append((header, [(label, peak_traced_bytes(call)) for label, call in calls]))
+    print_table("Layer", times, show)
+    print()
+    print_table("Layer (peak traced memory)", peaks, show_bytes)
     return 0
 
 

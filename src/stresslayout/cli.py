@@ -11,8 +11,11 @@ specifiers like ``path:100``, ``cycle:100``, ``grid:10,10``,
 ``complete:12`` (graphs.synthetic_spec reads them).
 Every subcommand loads through load_graph, which checks a specifier
 against memory before generating it and a file, by its size, before
-reading it; layout, bench and hybrid check a file's run again after
-parsing and reduction to its largest component.
+reading it, and a Matrix Market file again by the vertex count its
+size line declares; layout, bench and hybrid check a file's run again
+after parsing and reduction to its largest component, bench and hybrid
+check the graphs they hold together, and info checks the distance
+search its diameter needs.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .bench import (
 from .graphs import (
     Graph,
     all_pairs_shortest_paths,
-    bfs_hops,
     connected_components,
     generate,
     largest_connected_component,
@@ -55,21 +57,19 @@ from .svg import render_svg
 # Default SGD iteration count before majorization for layout --alg hybrid.
 SGD_K = 7
 
-# peak_bytes terms besides the held arrays: the peak RSS of a run apart
-# from its n x n arrays, and the scratch of all_pairs_shortest_paths as a
-# share of its n x n float64 result.  That scratch peaks in the boolean
-# masks DistanceMatrix validates with (n**2 bytes, 0.125 of the result);
-# the block BFS before them holds a few times max(2**13, n**2 / 64) int64
-# entries, under 0.1 of the result from n = 724 on and under 0.5 MiB
-# below (tracemalloc: 1.13 x the result on grid:40,50).  The floor is
-# the interpreter with numpy and this package (28 MiB) plus what any run
-# adds on top: graph objects, SVG text, optimizer and stress() block
-# scratch, and the BLAS buffers and LAPACK code the spectral initializers
-# touch.  On x86-64 Linux with numpy 2.4 (OpenBLAS, two threads), a
-# layout run on grid:3,3 peaks at 35.5 MiB, runs of either algorithm
-# from any initializer up to n = 2000 peaked at most 40.3 MiB above
-# their n x n terms, and layout grid:40,50 peaks at 117.8 MiB (sgd) and
-# 148.3 MiB (smacof, --iters 3) against estimates of 123.5 and 154.0.
+# peak_bytes terms besides the n x n arrays of a run's phases.  The
+# floor is the interpreter with numpy and this package (28 MiB) plus
+# what any run adds on top: graph objects, SVG text, optimizer and
+# stress() block scratch, and the BLAS buffers and LAPACK code the
+# spectral initializers touch.  HEAP_SLACK is n x n scratch that is
+# freed but stays resident, such as the masks of the checks and of the
+# pair table once the C allocator serves them from its heap: on x86-64
+# Linux with numpy 2.4 (OpenBLAS, two threads), layout runs on path:n
+# from cmds or with smacof peaked at 1.0 to 1.25 B per entry above
+# their traced peak and the interpreter, from n = 2000 to 4000.  A
+# layout run on grid:3,3 peaks at 36.5 MiB, and layout grid:40,50
+# --iters 3 at 62.3-63.2 MiB (sgd) and 91.7 MiB (smacof) against estimates
+# of 87.9 and 107.0.
 # EDGE_BYTES is the peak of loading a graph, per edge: the larger of
 # generate and of reading and parsing a file, which holds a Python
 # object per line and per pair until Graph.from_edges sorts their keys
@@ -80,10 +80,15 @@ SGD_K = 7
 # connected_components searches transient tuples of the rows, which
 # peak at 230, 173 and 96 B per edge after generate, so the term
 # covers components, the reduction and info as well.
+# VERTEX_BYTES is the same peak per vertex without edges, which only a
+# Matrix Market size line can declare: parsing and connected_components
+# on 200 000 and 1 000 000 isolated vertices grew the peak RSS by 157
+# and 153 B per vertex.
 MIB = 2**20
 RUN_FLOOR = 41 * MIB
-APSP_TRANSIENT = 0.15
+HEAP_SLACK = 2
 EDGE_BYTES = 310
+VERTEX_BYTES = 160
 
 
 class _StrictDisconnected(Exception):
@@ -214,7 +219,9 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
 
     The graphs load in order, each checked against memory as it loads
     (_load_connected), so an oversized input stops the campaign before
-    the inputs after it load and before any cell runs.
+    the inputs after it load and before any cell runs.  Once all are
+    loaded, check_campaign charges the graphs the campaign holds
+    together, before any cell runs.
     """
     config = ExperimentConfig(
         graphs=(),
@@ -227,25 +234,42 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
     )
     _check_format(args.format, specs)
     graphs = tuple(_load_connected(spec, args.format, args.strict, algorithms) for spec in specs)
+    check_campaign(graphs, algorithms)
     return dataclasses.replace(config, graphs=graphs)
 
 
 def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
     """Estimated peak memory of loading a graph of n vertices and m edges
-    and, given an algorithm, of one run on it, in bytes.
+    and, given an algorithm, of one run on it, in bytes.  The algorithm
+    "search" stands for the distance search alone, as info's diameter
+    runs it.
 
     Loading costs the run floor plus EDGE_BYTES per edge; the loaded
     Graph itself keeps 16 B per edge and 8 per vertex.  A run adds the
-    arrays it holds throughout: the distance matrix (8 n**2), its pair
-    table (12 n**2: two int64 indices and one float64 target per
-    unordered pair) and, for smacof and hybrid, the majorization weights
-    that each run_smacof call builds and drops (8 n**2), plus the scratch
-    of all_pairs_shortest_paths.  A campaign frees each graph's arrays
-    before the next graph's search, so one graph's estimate bounds it.
+    n x n bytes of the largest of its phases, with w the bytes of a hop
+    count below n (1 up to n = 256, else 2):
+    - the search: the int32 buffer of all_pairs_shortest_paths and the
+      narrow matrix it returns (4 + w per entry); its block scratch and
+      the checks' masks come at other times and are smaller;
+    - classical MDS, which any run may start from: the matrix and its
+      squared float64 copy (w + 8);
+    - the run: the matrix and its pair table (two int32 indices and one
+      hop count per unordered pair, (8 + w) / 2), plus the boolean mask
+      that builds the table (1) for sgd, or the majorization weights
+      that each run_smacof call builds and drops (8) for smacof and
+      hybrid;
+    and HEAP_SLACK on top of the largest.  A campaign frees each graph's
+    arrays before the next graph's search, so one graph's estimate
+    bounds its runs; check_campaign adds the graphs a campaign holds.
     """
-    per_entry = 0
+    per_entry = 0.0
     if algorithm is not None:
-        per_entry = 8 + 12 + 8 * APSP_TRANSIENT + (0 if algorithm == "sgd" else 8)
+        width = np.min_scalar_type(max(n - 1, 0)).itemsize
+        per_entry = 4 + width
+        if algorithm != "search":
+            run = width + (8 + width) / 2 + (1 if algorithm == "sgd" else 8)
+            per_entry = max(per_entry, width + 8, run)
+        per_entry += HEAP_SLACK
     return RUN_FLOOR + EDGE_BYTES * m + math.ceil(per_entry * n * n)
 
 
@@ -266,6 +290,19 @@ def check_memory(name: str, n: int, m: int, algorithms=()) -> None:
     algorithms on it, cannot fit in memory; with no algorithms, the graph alone."""
     estimate = max(peak_bytes(n, m, algorithm) for algorithm in algorithms or (None,))
     _refuse_over_limit(f"{name}: a run on n = {n} vertices and m = {m} edges", estimate)
+
+
+def check_campaign(graphs, algorithms) -> None:
+    """Fail fast if a campaign's graphs, which it holds until it ends, cannot
+    fit in memory beside the largest run on one of them.
+
+    A graph holds its CSR arrays, 16 B per edge and 8 per vertex; a
+    run's estimate (peak_bytes) already counts its own graph.
+    """
+    held = [g.indptr.nbytes + g.indices.nbytes for _, g in graphs]
+    estimate, name = max((max(peak_bytes(g.n, g.m, a) for a in algorithms) + sum(held) - own, name)
+                         for (name, g), own in zip(graphs, held))
+    _refuse_over_limit(f"{len(graphs)} input graphs held together with a run on {name}", estimate)
 
 
 def _refuse_over_limit(what: str, estimate: int) -> None:
@@ -291,7 +328,10 @@ def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, G
     implies, for a run of each of algorithms, before generate builds it.
     A file is checked before it is read, for loading alone: every edge
     takes a line of at least 4 bytes ("0 1" and a newline), so a file
-    of size bytes holds at most (size + 1) // 4 edges.
+    of size bytes holds at most (size + 1) // 4 edges.  A Matrix Market
+    file is checked again when its size line is read, with VERTEX_BYTES
+    per declared vertex added, since a size line can declare vertices
+    that no edge line names.
     """
     synthetic = synthetic_spec(spec)
     if synthetic is not None:
@@ -301,13 +341,15 @@ def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, G
     path = Path(spec)
     size = path.stat().st_size
     m = (size + 1) // 4
-    _refuse_over_limit(f"{path.stem}: loading a file of {size} bytes (at most m = {m} edges)",
-                       peak_bytes(0, m))
+    what = f"{path.stem}: loading a file of {size} bytes (at most m = {m} edges)"
+    _refuse_over_limit(what, peak_bytes(0, m))
     text = path.read_text()
     if fmt is None:
         fmt = "mtx" if path.suffix.lower() == ".mtx" else "edges"
-    graph = parse_matrix_market(text) if fmt == "mtx" else parse_edge_list(text)
-    return path.stem, graph
+    if fmt == "edges":
+        return path.stem, parse_edge_list(text)
+    return path.stem, parse_matrix_market(text, lambda n: _refuse_over_limit(
+        f"{what} on n = {n} declared vertices", peak_bytes(0, m) + VERTEX_BYTES * n))
 
 
 def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tuple[str, Graph]:
@@ -461,9 +503,13 @@ def cmd_info(args) -> int:
     largest = largest_connected_component(graph, components)
     print(f"largest component: {largest.n} vertices, {largest.m} edges")
     if largest.n >= 2:
-        # one BFS per source, holding one row at a time instead of the n x n matrix
-        diameter = max(max(bfs_hops(largest, s)) for s in range(largest.n))
-        print(f"diameter (largest component): {diameter}")
+        try:
+            _refuse_over_limit("the distance matrix", peak_bytes(largest.n, largest.m, "search"))
+        except ValueError as exc:
+            print(f"diameter (largest component): not computed: {exc}")
+        else:
+            diameter = int(all_pairs_shortest_paths(largest).matrix.max())
+            print(f"diameter (largest component): {diameter}")
         degrees = np.diff(largest.indptr)
         print(f"degree range: {degrees.min()}..{degrees.max()}")
     return 0

@@ -6,7 +6,8 @@ by specifiers like ``grid:10,10`` that synthetic_spec reads.  Everything
 is normalized to a simple undirected graph on vertices [0, n): self-loops
 dropped, duplicate/reversed edges merged.  A Graph is one pair of
 read-only numpy CSR arrays that every layer reads in place; no layer
-keeps a copy.  Distances are unweighted hop counts:
+keeps a copy.  Distances are unweighted hop counts, held in the
+narrowest unsigned integer type that fits them:
 all_pairs_shortest_paths runs a level-synchronous numpy BFS over blocks
 of sources straight on those arrays and fills the rows of an independent
 set from their neighbours' rows; bfs_hops answers one source at a time.  A
@@ -95,7 +96,12 @@ class DistanceMatrix:
     Also exposes the table of unordered pairs that stress and
     step_widths share.  The underlying arrays are read-only;
     instances are immutable.  The matrix is C-ordered, so matrix.ravel()
-    is a view (run_sgd gathers targets from it).
+    is a view (run_sgd gathers targets from it).  Its dtype is float64
+    when built from an arbitrary array, and the narrowest unsigned
+    integer type that holds the largest hop count when
+    all_pairs_shortest_paths builds it, so every reader casts the
+    entries it computes with to float64 (a square wraps in uint8 and
+    uint16).
     """
 
     def __init__(self, matrix):
@@ -103,7 +109,7 @@ class DistanceMatrix:
 
     @classmethod
     def _owning(cls, d: np.ndarray) -> "DistanceMatrix":
-        """Wrap a float64 array that no one else holds, without a copy."""
+        """Wrap a C-ordered array that no one else holds, without a copy."""
         self = cls.__new__(cls)
         self._adopt(d)
         return self
@@ -137,9 +143,18 @@ class DistanceMatrix:
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pair table (i, j, d_ij) over all i < j in lexicographic order (read-only)."""
-        i, j = np.triu_indices(self.n, 1)
-        table = (i, j, self._d[i, j])
+        """Pair table (i, j, d_ij) over all i < j in lexicographic order (read-only).
+
+        i and j are int32 and d_ij has the matrix's dtype.  One boolean
+        mask of the upper triangle picks all three from the matrix and
+        from broadcast views of one index row, so building the table
+        allocates no int64 index arrays.
+        """
+        n = self.n
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        index = np.arange(n, dtype=np.int32)
+        table = (np.broadcast_to(index[:, None], (n, n))[upper],
+                 np.broadcast_to(index, (n, n))[upper], self._d[upper])
         for column in table:
             column.setflags(write=False)
         return table
@@ -148,13 +163,16 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n})"
 
 
-def parse_matrix_market(source) -> Graph:
+def parse_matrix_market(source, check_vertices=None) -> Graph:
     """Parse a Matrix Market coordinate file into a Graph.
 
     Accepts a string or a file-like object.  The nonzero pattern of the
     (square) matrix is symmetrized; numeric values, if present, are
     ignored.  Self-loops are dropped.  pattern/real/integer fields and
-    general/symmetric banners are supported.
+    general/symmetric banners are supported.  check_vertices, if given,
+    is called with the vertex count the size line declares as soon as
+    it is read, before anything of that size is built; it raises to
+    refuse the file.
     """
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
@@ -191,6 +209,8 @@ def parse_matrix_market(source) -> Graph:
                 raise GraphFormatError(f"line {lineno}: matrix is {rows}x{cols}, expected square")
             if rows < 0:
                 raise GraphFormatError(f"line {lineno}: negative dimension")
+            if check_vertices is not None:
+                check_vertices(rows)
             size = rows
             continue
         if len(tokens) < 2:
@@ -314,8 +334,13 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     level-synchronous BFS over a block of sources (_bfs_block); each row
     of the set is then one plus the elementwise minimum of its
     neighbours' rows, since a shortest path from s leaves s through a
-    neighbour.  The search reads the graph's own CSR arrays; besides the
-    result, scratch stays within a few times _scratch_entries(n) entries.
+    neighbour.  The search reads the graph's own CSR arrays and writes
+    an int32 n x n buffer (-1 marks an entry not yet reached); besides
+    it, scratch stays within a few times _scratch_entries(n) entries.
+    After the connectivity check and the fill, the matrix is returned
+    in the narrowest unsigned type that holds its diameter
+    (np.min_scalar_type: uint8 below 256, uint16 below 65 536), so it
+    holds n**2 or 2 n**2 bytes and peaks at the buffer plus that copy.
 
     Connectivity is read after the blocks, before the fill, from one
     searched row of vertex 0's component: vertex 0's own, or its first
@@ -329,7 +354,7 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
         raise ValueError("graph must have at least one vertex")
     csr = (np.diff(g.indptr), g.indptr, g.indices)
     independent = _independent_set(g)
-    d = np.full((n, n), -1.0)
+    d = np.full((n, n), -1, dtype=np.int32)
     budget = _scratch_entries(n)
     sources = np.flatnonzero(~independent)
     block, peak = max(1, budget // n), 1
@@ -339,18 +364,31 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
         peak = max(peak, -(-widest // chunk.size))  # widest frontier per source so far
         block = max(1, budget // peak)
     # rows of the independent set are not searched: read 0's first neighbour's instead
-    missing = np.flatnonzero(d[g.indices[0] if independent[0] else 0] < 0.0)
+    missing = np.flatnonzero(d[g.indices[0] if independent[0] else 0] < 0)
     if missing.size:
         raise DisconnectedGraphError(f"vertex {missing[0]} unreachable from vertex 0")
-    for s in np.flatnonzero(independent).tolist():
+    _fill_from_neighbours(d, g, np.flatnonzero(independent).tolist())
+    # every entry is a hop count now, so narrowing cannot wrap a -1
+    narrow = d.astype(np.min_scalar_type(int(d.max())))
+    del d  # freed before the checks allocate their masks
+    return DistanceMatrix._owning(narrow)
+
+
+def _fill_from_neighbours(d, g: Graph, vertices) -> None:
+    """Set row s of d, for each s of vertices, to one plus the elementwise
+    minimum of its neighbours' rows, and d[s, s] to zero.
+
+    A function of its own so that its row views die with it and do not
+    keep the int32 buffer alive once the caller drops it.
+    """
+    for s in vertices:
         row = d[s]
         first, *rest = g.indices[g.indptr[s]:g.indptr[s + 1]].tolist()
         np.copyto(row, d[first])
         for u in rest:
             np.minimum(row, d[u], out=row)
-        row += 1.0
-        row[s] = 0.0
-    return DistanceMatrix._owning(d)
+        row += 1
+        row[s] = 0
 
 
 def _scratch_entries(n: int) -> int:
@@ -375,23 +413,23 @@ def _independent_set(g: Graph) -> np.ndarray:
 def _bfs_block(flat, sources, csr, budget: int) -> int:
     """Level-synchronous BFS from every vertex of sources at once.
 
-    flat is the raveled n x n matrix, -1 in the rows of sources; the hop
+    flat is the raveled int32 n x n buffer, -1 in the rows of sources; the hop
     count from s to v is written at flat[s * n + v], and the frontier
     holds those flat indices.  Entries a source cannot reach stay -1.
     Returns the widest frontier.
     """
     n = csr[0].size
     frontier = sources * (n + 1)
-    flat.put(frontier, 0.0)
-    widest, level = frontier.size, 0.0
+    flat.put(frontier, 0)
+    widest, level = frontier.size, 0
     while frontier.size:
-        level += 1.0
+        level += 1
         frontier = _expand(flat, frontier, level, csr, budget)
         widest = max(widest, frontier.size)
     return widest
 
 
-def _expand(flat, frontier, level: float, csr, budget: int) -> np.ndarray:
+def _expand(flat, frontier, level: int, csr, budget: int) -> np.ndarray:
     """Visit the unvisited neighbours of frontier; return them as the next frontier.
 
     csr is (degree, indptr, indices).  Frontier entries are expanded a
@@ -418,8 +456,8 @@ def _expand(flat, frontier, level: float, csr, budget: int) -> np.ndarray:
         cand += np.arange(base, top)
         cand = indices.take(cand)
         cand += (frontier[lo:hi] - v).repeat(count)  # s * n
-        cand = cand[flat.take(cand) < 0.0]
-        tags = np.arange(-2.0, -2.0 - cand.size, -1.0)
+        cand = cand[flat.take(cand) < 0]
+        tags = np.arange(-2, -2 - cand.size, -1, dtype=flat.dtype)
         flat.put(cand, tags)
         cand = cand[flat.take(cand) == tags]
         flat.put(cand, level)

@@ -108,13 +108,14 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def classical_mds(dist: DistanceMatrix) -> np.ndarray:
     """Spectral embedding of a distance matrix into the plane.
 
-    Double-centers the entrywise-squared matrix and returns, per vertex,
+    Double-centers the entrywise-squared matrix, squared in float64 (a
+    uint8 or uint16 square would wrap), and returns, per vertex,
     the top-2 eigenvector components scaled by sqrt(max(eigenvalue, 0)).
     Raises PowerIterationError if the eigensolver does not converge.
     """
     if dist.n < 2:
         raise ValueError("classical MDS needs at least two vertices")
-    lam, v = _top2(_double_center(dist.matrix**2))
+    lam, v = _top2(_double_center(np.square(dist.matrix, dtype=np.float64)))
     return np.column_stack([_fix_sign(u) * math.sqrt(max(l, 0.0)) for l, u in zip(lam, v)])
 
 

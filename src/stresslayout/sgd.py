@@ -153,7 +153,8 @@ def run_sgd(
     Each iteration takes the permuted rounds in chunks of about
     STRESS_BLOCK pairs.  Per chunk it gathers the vertex rows from
     windows over the doubled slot ring (_round_rows), then the targets
-    from the flat distance matrix, so scratch memory stays bounded as n
+    from the flat distance matrix, cast to float64, so scratch memory
+    stays bounded as n
     grows; neither the chunking nor the windows change the random stream
     or the result.
     The rounds move a copy of init in place through stress.points, and
@@ -178,7 +179,7 @@ def run_sgd(
         rows = _round_rows(vertex)
         for start in range(0, rounds, chunk):
             a, b = rows(order[start:start + chunk])
-            d = flat.take(a * dist.n + b)
+            d = flat.take(a * dist.n + b).astype(np.float64)  # d * d wraps in uint8
             half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
             for i, j, d_round, half_round in zip(a, b, d, half_mu):
                 _round(z, i, j, d_round, half_round, rng)

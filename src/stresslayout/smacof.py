@@ -14,7 +14,8 @@ it), the update of vertex i is two dot products:
 
     z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
 
-The coefficient row is formed per vertex, not cached.
+The coefficient row is formed per vertex, not cached; the target rows
+d_i are cast from the matrix's dtype to float64 SWEEP_ROWS at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .stress import as_layout, points, separate, stress
 # Auxiliary generator seed for the (rare) coincident-point jitter; fixed so
 # runs stay deterministic.
 _JITTER_SEED = 0x5AC0F
+
+# A sweep casts this many rows of the distance matrix to float64 at a time:
+# one cast per vertex costs more than the mixed-type products it saves.
+SWEEP_ROWS = 64
 
 # Default sweep cap, and the relative stress decrease below which a run stops.
 MAX_SWEEPS = 500
@@ -49,9 +54,10 @@ def weights(dist: DistanceMatrix) -> np.ndarray:
 
     Entry (i, j) is d_ij**-2 / sum_k d_ik**-2, so each row sums to 1
     (for n >= 2); majorization places vertex i at the weighted average
-    its row describes.
+    its row describes.  The squares are taken in float64, whatever the
+    matrix's dtype.
     """
-    w = np.square(dist.matrix)
+    w = np.square(dist.matrix, dtype=np.float64)
     np.fill_diagonal(w, 1.0)
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
@@ -90,6 +96,7 @@ def smacof_iteration(
     sweep.  When vertex i coincides with k others, stress.separate nudges
     the k pairs apart (one angle per pair, in index order) before its
     update; the jitter generator is fixed-seeded when not supplied.
+    Target rows are read as float64 SWEEP_ROWS rows at a time.
     """
     x = as_layout(coords, dist.n)
     if dist.n < 2:
@@ -99,15 +106,17 @@ def smacof_iteration(
     z = points(x)
     d = dist.matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(dist.n):
-            diff, lengths = _offsets(i, z)
-            zi = _place(z, wn[i], d[i], diff, lengths)
-            if zi != zi:  # NaN: vertex i coincides with another vertex
-                j = np.nonzero(lengths == 0.0)[0]
-                separate(z, np.full(len(j), i), j, rng)
+        for start in range(0, dist.n, SWEEP_ROWS):
+            rows = d[start:start + SWEEP_ROWS].astype(np.float64, copy=False)
+            for i, target_row in enumerate(rows, start):
                 diff, lengths = _offsets(i, z)
-                zi = _place(z, wn[i], d[i], diff, lengths)
-            z[i] = zi
+                zi = _place(z, wn[i], target_row, diff, lengths)
+                if zi != zi:  # NaN: vertex i coincides with another vertex
+                    j = np.nonzero(lengths == 0.0)[0]
+                    separate(z, np.full(len(j), i), j, rng)
+                    diff, lengths = _offsets(i, z)
+                    zi = _place(z, wn[i], target_row, diff, lengths)
+                z[i] = zi
     return x
 
 

@@ -25,7 +25,7 @@ from .graphs import DistanceMatrix
 JITTER_EPSILON = 1e-6
 
 # stress() evaluates this many pair terms at a time: its scratch memory
-# (about 0.7 MiB) does not grow with n, and at 2**14 pairs the numpy calls
+# (about 0.8 MiB) does not grow with n, and at 2**14 pairs the numpy calls
 # per block cost little next to their work.
 STRESS_BLOCK = 1 << 14
 
@@ -88,12 +88,14 @@ def stress(coords, dist: DistanceMatrix) -> float:
 def _pair_terms(z, i, j, target) -> np.ndarray:
     """The stress terms of the pairs (i[k], j[k]) of points z = x + iy.
 
-    A function of its own so that its scratch arrays are freed before
-    ExactSum.add allocates its own.
+    Casts the block's int32 indices to intp and its targets to float64
+    once.  A function of its own so that its scratch arrays are freed
+    before ExactSum.add allocates its own.
     """
-    delta = z[i]
-    delta -= z[j]
+    delta = z[i.astype(np.intp)]
+    delta -= z[j.astype(np.intp)]
     lengths = np.abs(delta)
+    target = target.astype(np.float64, copy=False)
     return ((lengths - target) / target) ** 2
 
 

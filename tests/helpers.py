@@ -97,6 +97,7 @@ def reference_stress(coords, dist: DistanceMatrix) -> float:
     x = np.array(coords, dtype=float)
     z = x[:, 0] + 1j * x[:, 1]
     i, j, target = dist.pairs
+    target = target.astype(float)
     lengths = np.abs(z[i] - z[j])
     return math.fsum(memoryview(((lengths - target) / target) ** 2))
 
@@ -109,6 +110,7 @@ def stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
     """
     x = as_layout(coords, dist.n)
     i, j, target = dist.pairs
+    target = target.astype(float)
     z = points(x)
     delta = z[i] - z[j]
     lengths = np.abs(delta)
@@ -142,7 +144,7 @@ def dense_stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
     (x_i - x_j); the identity keeps the diagonal's 0 / 0 out.
     """
     x = np.array(coords, dtype=float)
-    d = dist.matrix
+    d = dist.matrix.astype(float)
     eye = np.eye(dist.n)
     diff = x[:, None, :] - x[None, :, :]
     lengths = np.hypot(diff[..., 0], diff[..., 1])
@@ -153,7 +155,7 @@ def dense_stress_gradient(coords, dist: DistanceMatrix) -> np.ndarray:
 
 def cmds_eigh_oracle(dist: DistanceMatrix) -> np.ndarray:
     """Classical scaling via dense symmetric eigendecomposition."""
-    d2 = dist.matrix**2
+    d2 = dist.matrix.astype(float) ** 2
     n = dist.n
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ d2 @ j
@@ -167,7 +169,7 @@ def cmds_eigh_oracle(dist: DistanceMatrix) -> np.ndarray:
 
 def top_eigenvalues(dist: DistanceMatrix, count: int = 4) -> np.ndarray:
     """Largest eigenvalues of the double-centered squared-distance matrix."""
-    d2 = dist.matrix**2
+    d2 = dist.matrix.astype(float) ** 2
     n = dist.n
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ d2 @ j
@@ -234,7 +236,7 @@ def reference_sweep(coords, dist: DistanceMatrix, rng: np.random.Generator) -> n
     uniform angle per pair from rng, in index order, before the update.
     """
     x = np.array(coords, dtype=float)
-    d = dist.matrix
+    d = dist.matrix.astype(float)
     off = ~np.eye(dist.n, dtype=bool)
     w = np.zeros_like(d)
     w[off] = d[off] ** -2.0
@@ -276,7 +278,7 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     diff, lengths = _offsets(i, z)
     if not lengths.all():
         raise ValueError(f"vertex {i} coincides with another vertex")
-    zi = _place(z, weights(dist)[i], dist.matrix[i], diff, lengths)
+    zi = _place(z, weights(dist)[i], dist.matrix[i].astype(float), diff, lengths)
     return np.array([zi.real, zi.imag])
 
 
@@ -333,7 +335,7 @@ def reference_sgd(dist: DistanceMatrix, init, config) -> tuple[np.ndarray, list[
         order = rng.permutation(len(slot_a))
         a = vertex[slot_a[order]]
         b = vertex[slot_b[order]]
-        d = dist.matrix[a, b]
+        d = dist.matrix[a, b].astype(float)
         half_mu = 0.5 * np.minimum(1.0, eta / (d * d))
         for i, j, d_round, half_round in zip(a, b, d, half_mu):
             _round(z, i, j, d_round, half_round, rng)

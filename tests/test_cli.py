@@ -13,7 +13,16 @@ from stresslayout import (
     grid_graph,
     path_graph,
 )
-from stresslayout.cli import EDGE_BYTES, RUN_FLOOR, build_parser, main, peak_bytes
+from stresslayout.cli import (
+    EDGE_BYTES,
+    HEAP_SLACK,
+    RUN_FLOOR,
+    VERTEX_BYTES,
+    build_parser,
+    main,
+    peak_bytes,
+)
+from stresslayout.graphs import bfs_hops
 from helpers import random_connected_graph
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -418,16 +427,49 @@ class TestInfoCommand:
         [path_graph(2), path_graph(17), cycle_graph(12), cycle_graph(13), grid_graph(4, 7),
          random_connected_graph(40, 8, 1), random_connected_graph(90, 18, 2)],
     )
-    def test_diameter_equals_distance_matrix_max(self, workdir, capsys, monkeypatch, graph):
-        expected = int(all_pairs_shortest_paths(graph).matrix.max())
+    def test_diameter_equals_distance_matrix_max(self, workdir, capsys, graph):
+        # the diameter is the largest hop count of a search from every source
+        expected = max(max(bfs_hops(graph, s)) for s in range(graph.n))
+        assert expected == int(all_pairs_shortest_paths(graph).matrix.max())
         (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in graph.edges))
-
-        def fail(graph):
-            raise AssertionError("info must not build the distance matrix")
-
-        monkeypatch.setattr(cli, "all_pairs_shortest_paths", fail)
         assert main(["info", "g.edges"]) == 0
         assert f"diameter (largest component): {expected}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["path:40", "cycle:31", "grid:6,9", "random"])
+    def test_output_matches_per_source_searches(self, workdir, capsys, spec):
+        # every line, byte for byte, as a search from every source gives it
+        if spec == "random":
+            g = random_connected_graph(60, 20, 5)
+            (workdir / "r.edges").write_text("".join(f"{i} {j}\n" for i, j in g.edges))
+            spec, name = "r.edges", "r"
+        else:
+            name, family, sizes, _, _ = graphs.synthetic_spec(spec)
+            g = generate(family, *sizes)
+        degrees = [0] * g.n
+        for i, j in g.edges.tolist():
+            degrees[i] += 1
+            degrees[j] += 1
+        diameter = max(max(bfs_hops(g, s)) for s in range(g.n))
+        assert main(["info", spec]) == 0
+        assert capsys.readouterr().out == (
+            f"graph: {name}\nvertices: {g.n}\nedges: {g.m}\ncomponents: 1\n"
+            f"largest component: {g.n} vertices, {g.m} edges\n"
+            f"diameter (largest component): {diameter}\n"
+            f"degree range: {min(degrees)}..{max(degrees)}\n")
+
+    def test_diameter_skipped_when_the_matrix_does_not_fit(self, workdir, capsys, monkeypatch):
+        estimate = peak_bytes(12, 17, "search")
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        monkeypatch.setattr(cli, "all_pairs_shortest_paths",
+                            lambda graph: pytest.fail("the distance matrix was built"))
+        assert main(["info", "grid:3,4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[5] == ("diameter (largest component): not computed: the distance matrix "
+                          f"needs about {estimate / 2**20:.0f} MiB, more than the "
+                          f"{(estimate - 1) / 2**20:.0f} MiB of physical memory")
+        assert out[:5] + out[6:] == [
+            "graph: grid_3x4", "vertices: 12", "edges: 17", "components: 1",
+            "largest component: 12 vertices, 17 edges", "degree range: 2..4"]
 
     def test_strict_disconnected_exits_2(self, workdir, capsys):
         (workdir / "d.edges").write_text(DISCONNECTED_EDGES)
@@ -465,19 +507,24 @@ class TestInfoCommand:
 
 class TestSizeGuard:
     # edge bounds of the specs below: path n - 1, grid 2rc - r - c, complete n(n - 1)/2
-    EDGES = {"grid_20x30": 1150, "path_99999999": 99999998, "complete_7000": 24496500}
+    EDGES = {"grid_20x30": 1150, "path_99999999": 99999998, "complete_7500": 28121250}
 
     def test_estimate_terms(self):
-        n, m = 1000, 2500
-        sgd = peak_bytes(n, m, "sgd")
-        assert sgd == pytest.approx(RUN_FLOOR + EDGE_BYTES * m + (8 + 12 + 0.15 * 8) * n * n,
-                                    abs=1)
-        assert peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
-        assert peak_bytes(n, m, "smacof") - sgd == pytest.approx(8 * n * n, abs=1)
-        assert peak_bytes(2 * n, m, "sgd") > sgd
-        assert peak_bytes(n, m + 1, "sgd") - sgd == EDGE_BYTES
-        # loading alone (info) has no n**2 terms
-        assert peak_bytes(n, m) == RUN_FLOOR + EDGE_BYTES * m
+        m = 2500
+        base = RUN_FLOOR + EDGE_BYTES * m
+        for n, width in ((256, 1), (1000, 2)):  # width: the bytes of a hop count below n
+            search = (4 + width) * n * n  # int32 buffer and narrow result
+            cmds = (width + 8) * n * n  # the matrix and its squared float64 copy
+            table = (width + (8 + width) / 2) * n * n  # the matrix and its pair table
+            for alg, phases in (("search", [search]),
+                                ("sgd", [search, cmds, table + n * n]),
+                                ("smacof", [search, cmds, table + 8 * n * n])):
+                assert peak_bytes(n, m, alg) == pytest.approx(
+                    base + max(phases) + HEAP_SLACK * n * n, abs=1)
+            assert peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
+            assert peak_bytes(n, m + 1, "sgd") - peak_bytes(n, m, "sgd") == EDGE_BYTES
+            # loading alone (info) has no n**2 terms
+            assert peak_bytes(n, m) == base
 
     def test_limit_is_physical_memory(self):
         limit = cli.memory_limit()
@@ -532,7 +579,7 @@ class TestSizeGuard:
         assert list(workdir.iterdir()) == []
 
     @pytest.mark.parametrize("argv, name, n, alg", [
-        (["layout", "complete:7000"], "complete_7000", 7000, "sgd"),
+        (["layout", "complete:7500"], "complete_7500", 7500, "sgd"),
         (["info", "path:99999999"], "path_99999999", 99999999, None),
     ])
     def test_edges_checked_before_generate(self, workdir, capsys, monkeypatch, argv, name, n, alg):
@@ -558,10 +605,10 @@ class TestSizeGuard:
 
         monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 2**30)
         monkeypatch.setattr(cli, "generate", grid_only)
-        assert main(["bench", "grid:20,30", "complete:7000", "--reps", "1",
+        assert main(["bench", "grid:20,30", "complete:7500", "--reps", "1",
                      "--out", "r.csv"]) == 1
         assert generated == [("grid", 20, 30)]
-        assert "complete_7000: a run on n = 7000 vertices" in capsys.readouterr().err
+        assert "complete_7500: a run on n = 7500 vertices" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
     def test_wrong_arity_keeps_its_message(self, workdir, capsys, monkeypatch):
@@ -618,6 +665,49 @@ class TestSizeGuard:
         monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(0, 50) - 1)
         assert main(["info", "g.edges"]) == 1
         assert "at most m = 50 edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["info", "layout"])
+    def test_matrix_market_size_line_checked_before_building(self, workdir, capsys,
+                                                             monkeypatch, command):
+        # 73 bytes pass the file bound but declare 2 000 000 vertices
+        text = "%%MatrixMarket matrix coordinate pattern symmetric\n2000000 2000000 1\n2 1\n"
+        (workdir / "big.mtx").write_text(text)
+        estimate = peak_bytes(0, 18) + VERTEX_BYTES * 2_000_000
+        monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
+        monkeypatch.setattr(graphs.Graph, "from_edges",
+                            classmethod(lambda cls, n, edges: pytest.fail("a graph was built")))
+        assert main([command, "big.mtx"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: big: loading a file of 73 bytes (at most m = 18 edges) on n = 2000000 "
+            f"declared vertices needs about {estimate / 2**20:.0f} MiB, more than the "
+            f"{(estimate - 1) / 2**20:.0f} MiB of physical memory\n")
+        assert [p.name for p in workdir.iterdir()] == ["big.mtx"]
+
+    def test_matrix_market_size_line_fits_at_the_limit(self, workdir, capsys, monkeypatch):
+        (workdir / "g.mtx").write_text(P3_MTX)
+        monkeypatch.setattr(cli, "memory_limit",
+                            lambda: peak_bytes(0, (len(P3_MTX) + 1) // 4) + VERTEX_BYTES * 3)
+        assert main(["info", "g.mtx"]) == 0
+        assert "vertices: 3\n" in capsys.readouterr().out
+
+    def test_campaign_charges_every_graph_it_holds(self, workdir, capsys, monkeypatch):
+        # each input fits alone; the small one, held beside a run on the large one, does not
+        run = peak_bytes(600, 1150, "smacof")
+        small = 16 * 180 + 8 * 101  # grid:10,10's CSR arrays
+        assert peak_bytes(100, 180, "smacof") < run
+        cells = []
+        monkeypatch.setattr(cli, "run_grid", lambda config: cells.append(config) or [])
+        monkeypatch.setattr(cli, "memory_limit", lambda: run + small - 1)
+        argv = ["bench", "grid:20,30", "grid:10,10", "--reps", "1", "--out", "r.csv"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: 2 input graphs held together with a run on grid_20x30 needs about "
+            f"{(run + small) / 2**20:.0f} MiB, more than the {(run + small - 1) / 2**20:.0f} "
+            "MiB of physical memory\n")
+        assert cells == [] and list(workdir.iterdir()) == []
+        monkeypatch.setattr(cli, "memory_limit", lambda: run + small)
+        assert main(argv) == 0
+        assert len(cells) == 1
 
     def test_fits_at_the_limit(self, workdir, monkeypatch):
         monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, 12, "sgd"))

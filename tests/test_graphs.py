@@ -13,7 +13,10 @@ from stresslayout import (
     DistanceMatrix,
     Graph,
     GraphFormatError,
+    SgdConfig,
+    SmacofConfig,
     all_pairs_shortest_paths,
+    classical_mds,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -23,9 +26,15 @@ from stresslayout import (
     parse_edge_list,
     parse_matrix_market,
     path_graph,
+    random_init,
+    run_sgd,
+    run_smacof,
+    stress,
 )
 from stresslayout import graphs
 from stresslayout.graphs import FAMILIES, bfs_hops, synthetic_spec
+from stresslayout.smacof import weights
+from stresslayout.stress import STRESS_BLOCK
 from helpers import floyd_warshall, random_connected_graph, reference_from_edges
 
 
@@ -320,7 +329,8 @@ class TestShortestPaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * d.matrix.nbytes  # one n x n array, not a second copy
+        # the int32 search buffer and the narrow result, not a float64 n x n array
+        assert peak <= 7 * g.n**2
 
     @pytest.mark.parametrize("budget", ["default", "one entry"])
     @given(st.integers(1, 30), st.integers(0, 40), st.integers(0, 10_000), st.booleans())
@@ -393,7 +403,7 @@ class TestShortestPaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * d.matrix.nbytes
+        assert peak <= 7 * g.n**2
 
 
 class TestGenerators:
@@ -501,3 +511,51 @@ class TestDistanceMatrix:
     def test_validation(self, matrix, fragment):
         with pytest.raises(ValueError, match=fragment):
             DistanceMatrix(matrix)
+
+
+class TestNarrowDistances:
+    """Hop counts are held as uint8 or uint16; every reader casts to float64."""
+
+    GRAPHS = {
+        "path300": (path_graph(300), np.uint16),
+        "grid2x150": (grid_graph(2, 150), np.uint8),
+        "grid24x25": (grid_graph(24, 25), np.uint8),
+        "random": (random_connected_graph(200, 20, 3), np.uint8),  # diameter 17
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_readers_match_the_float_matrix(self, name):
+        graph, dtype = self.GRAPHS[name]
+        narrow = all_pairs_shortest_paths(graph)
+        wide = DistanceMatrix(narrow.matrix.astype(float))
+        assert narrow.matrix.dtype == dtype
+        # a reader that forgets to cast would wrap its squares
+        assert int(narrow.matrix.max()) ** 2 > np.iinfo(dtype).max
+        assert np.array_equal(narrow.matrix, wide.matrix)
+        for column, expected in zip(narrow.pairs, wide.pairs):
+            assert np.array_equal(column, expected)
+        assert narrow.pairs[0].dtype == narrow.pairs[1].dtype == np.int32
+        assert narrow.pairs[2].dtype == dtype
+        start = random_init(graph.n, 4)
+        assert stress(start, narrow) == stress(start, wide)
+        assert np.array_equal(weights(narrow), weights(wide))
+        assert np.array_equal(classical_mds(narrow), classical_mds(wide))
+        for run in (lambda d: run_sgd(d, start, SgdConfig(iterations=2, seed=4)),
+                    lambda d: run_smacof(d, start, SmacofConfig(3))):
+            (layout, trace), (expected, expected_trace) = run(narrow), run(wide)
+            assert np.array_equal(layout, expected)
+            assert trace == expected_trace
+
+    def test_held_bytes_after_search_and_pairs(self):
+        g = grid_graph(24, 25)
+        all_pairs_shortest_paths(path_graph(3)).pairs  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            d = all_pairs_shortest_paths(g)
+            d.pairs
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a uint8 matrix (n**2) and its table of int32, int32, uint8 per pair
+        # (4.5 n**2), against 20 n**2 for float64 targets and int64 indices
+        assert held <= 7 * g.n**2 + STRESS_BLOCK * 8

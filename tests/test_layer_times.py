@@ -1,6 +1,9 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "layer_times.py"
 
@@ -21,10 +24,25 @@ def test_prints_one_row_per_layer():
         capture_output=True, text=True, timeout=120, check=True,
     )
     lines = done.stdout.splitlines()
-    assert lines[:2] == ["| Layer | n = 9 (`grid:3,3`) |", "|---|---|"]
-    assert [line.split(" | ")[0].removeprefix("| ") for line in lines[2:]] == LAYERS
-    for line in lines[2:]:
-        assert line.endswith(" ms |") or line.endswith(" s |")
+    times, peaks = lines[:9], lines[10:]
+    assert lines[9] == ""
+    assert times[:2] == ["| Layer | n = 9 (`grid:3,3`) |", "|---|---|"]
+    assert peaks[:2] == ["| Layer (peak traced memory) | n = 9 (`grid:3,3`) |", "|---|---|"]
+    for table, units in ((times, (" ms |", " s |")), (peaks, (" KiB |", " MiB |"))):
+        assert [line.split(" | ")[0].removeprefix("| ") for line in table[2:]] == LAYERS
+        for line in table[2:]:
+            assert line.endswith(units)
+
+
+def test_peak_memory_table_reads_each_call():
+    # a layer that allocates 3 MiB at its peak reads 3 MiB, whatever was allocated before
+    spec = importlib.util.spec_from_file_location("layer_times", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    held = np.ones(2**20)  # allocated before the call: not counted
+    assert script.show_bytes(script.peak_traced_bytes(lambda: np.ones(3 * 2**17))) == "3 MiB"
+    assert script.show_bytes(1536) == "1.5 KiB"
+    del held
 
 
 def test_rejects_zero_repeats():

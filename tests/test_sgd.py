@@ -77,7 +77,7 @@ class TestStepWidths:
     def test_every_pair_starts_at_mu_1(self, graph, d_max):
         dist, _, _ = distance_range(graph, d_max)
         eta = step_widths(dist, SgdConfig())[0]
-        d = dist.pairs[2]
+        d = dist.pairs[2].astype(float)
         assert (np.minimum(1.0, eta / (d * d)) == 1.0).all()
 
     @pytest.mark.parametrize("graph,d_max", GRAPHS)
@@ -252,7 +252,7 @@ class TestSgdIteration:
             vertex = rng.permutation(n)
             for row in rng.permutation(len(slot_a)):
                 for i, j in zip(vertex[slot_a[row]], vertex[slot_b[row]]):
-                    d = dist.matrix[i, j]
+                    d = float(dist.matrix[i, j])
                     x[i], x[j] = pair_update(x[i], x[j], d, min(1.0, eta / (d * d)))
         assert np.abs(got - x).max() <= 1e-12
 

@@ -201,6 +201,7 @@ class TestStressExactness:
         # of the term (2.5 eps) and of the sum (half an ulp).
         dist = all_pairs_shortest_paths(graph)
         i, j, target = dist.pairs
+        target = target.astype(float)
         layout = np.random.default_rng(seed).normal(size=(graph.n, 2))
         for scale in SCALES:
             x = layout * scale
