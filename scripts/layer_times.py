@@ -11,7 +11,9 @@ peak of one more call: the bytes that call allocates at its peak,
 beyond what was allocated before it (such as the distance matrix, its
 pair table and the sweep's weights).  The sweep and the stress() call
 start from the classical-MDS layout, and the sweep's weights are built
-before it is timed; run_sgd starts from random_init(n, 0).
+before it is timed; run_sgd starts from random_init(n, 0).  BLAS runs on
+one thread, pinned before numpy is imported, as perfbench/run.py pins
+it: unpinned, the times include waking the BLAS threads.
 
     python3 scripts/layer_times.py
     python3 scripts/layer_times.py --graphs grid:3,3 --repeats 1
@@ -20,16 +22,18 @@ Only numpy and the package in src/ are used; nothing there imports this.
 """
 
 import argparse
+import os
 import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from stresslayout import (  # noqa: E402
-    PivotConfig,
     SgdConfig,
     all_pairs_shortest_paths,
     classical_mds,
@@ -58,7 +62,7 @@ def layers(spec):
          lambda: connected_components(load_graph(spec)[1])),
         ("BFS all-pairs distances", lambda: all_pairs_shortest_paths(graph)),
         ("`classical_mds`", lambda: classical_mds(dist)),
-        ("`pivot_mds` (k = 100)", lambda: pivot_mds(graph, PivotConfig())),
+        ("`pivot_mds` (k = 100)", lambda: pivot_mds(graph, 100, 0)),
         ("`run_sgd`, 15 iterations, with its 16 `stress()` calls",
          lambda: run_sgd(dist, start, SgdConfig())),
         ("One SMACOF sweep (`smacof_iteration`)", lambda: smacof_iteration(cmds, dist, wn)),

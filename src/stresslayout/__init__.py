@@ -29,12 +29,12 @@ from .graphs import (
     generate,
     grid_graph,
     largest_connected_component,
+    neighbour_rows,
     parse_edge_list,
     parse_matrix_market,
     path_graph,
 )
 from .initializers import (
-    PivotConfig,
     PowerIterationError,
     classical_mds,
     pivot_mds,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, all_pairs_shortest_paths
-from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
+from .initializers import PIVOTS, classical_mds, pivot_mds, random_init
 from .sgd import EPS, ITERATIONS, SgdConfig, run_sgd
 from .smacof import run_smacof
 from .stress import stress
@@ -175,7 +175,7 @@ def _initial_layout(initializer, graph, dist, cmds_layout, seed):
         return random_init(dist.n, seed)
     if initializer == "cmds":
         return cmds_layout
-    return pivot_mds(graph, PivotConfig(k=PIVOTS, seed=seed))
+    return pivot_mds(graph, PIVOTS, seed)
 
 
 def hybrid_layout(dist: DistanceMatrix, k: int, sgd_config: SgdConfig, callback=None):

@@ -49,7 +49,7 @@ from .graphs import (
     parse_matrix_market,
     synthetic_spec,
 )
-from .initializers import PIVOTS, PivotConfig, classical_mds, pivot_mds, random_init
+from .initializers import PIVOTS, classical_mds, pivot_mds, random_init
 from .sgd import EPS, ITERATIONS, SgdConfig, run_sgd
 from .smacof import MAX_SWEEPS, SmacofConfig, run_smacof
 from .svg import render_svg
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _int_list(low: int):
-    """argparse type: comma-separated integers, each at least low.
+    """argparse type: one or more comma-separated integers, each at least low.
 
     argparse prefixes the error with the flag's name and exits 2.
     """
@@ -180,6 +180,8 @@ def _int_list(low: int):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated integers, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
         for value in values:
             if value < low:
                 raise argparse.ArgumentTypeError(f"each value must be at least {low}, got {value}")
@@ -223,6 +225,7 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
     loaded, check_campaign charges the graphs the campaign holds
     together, before any cell runs.
     """
+    _check_output_dirs(args.out, args.trace)
     config = ExperimentConfig(
         graphs=(),
         algorithms=algorithms,
@@ -315,6 +318,15 @@ def _refuse_over_limit(what: str, estimate: int) -> None:
         )
 
 
+def _check_output_dirs(*paths) -> None:
+    """Refuse an output path whose parent is not a directory (exit 3), before
+    any graph is loaded, so that a run that cannot write all of its
+    outputs writes none of them."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise NotADirectoryError(f"{path}: {Path(path).parent} is not a directory")
+
+
 def _check_format(fmt: str | None, specs) -> None:
     """Refuse --format when every input is a synthetic spec, which it would not change."""
     if fmt is not None and all(synthetic_spec(spec) is not None for spec in specs):
@@ -384,12 +396,12 @@ def _components(spec: str, graph: Graph, strict: bool) -> list[list[int]]:
     return components
 
 
-def _initial(init: str, graph, dist, seed: int, pivots: PivotConfig):
+def _initial(init: str, graph, dist, seed: int, pivots: int):
     if init == "random":
         return random_init(dist.n, seed)
     if init == "cmds":
         return classical_mds(dist)
-    return pivot_mds(graph, pivots)
+    return pivot_mds(graph, pivots, seed)
 
 
 def cmd_layout(args) -> int:
@@ -407,7 +419,9 @@ def cmd_layout(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     sgd_config = SgdConfig(iters, EPS if args.eps is None else args.eps, args.seed)
-    pivots = PivotConfig(k=PIVOTS if args.pivots is None else args.pivots, seed=args.seed)
+    pivots = PIVOTS if args.pivots is None else args.pivots
+    if pivots < 1:
+        raise ValueError(f"--pivots must be at least 1, got {pivots}")
     sgd_k = SGD_K if args.sgd_k is None else args.sgd_k
     if args.alg == "hybrid" and args.init != "random":
         raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
@@ -419,6 +433,7 @@ def cmd_layout(args) -> int:
     if snapshots and max(snapshots) > last:
         raise ValueError(f"--snapshots: each number must be at most {last}, the last "
                          f"iteration the run can reach, got {max(snapshots)}")
+    _check_output_dirs(args.out, args.trace)
     _check_format(args.format, [args.input])
     name, graph = _load_connected(args.input, args.format, args.strict, (args.alg,))
     dist = all_pairs_shortest_paths(graph)

@@ -10,7 +10,9 @@ keeps a copy.  Distances are unweighted hop counts, held in the
 narrowest unsigned integer type that fits them:
 all_pairs_shortest_paths runs a level-synchronous numpy BFS over blocks
 of sources straight on those arrays and fills the rows of an independent
-set from their neighbours' rows; bfs_hops answers one source at a time.  A
+set from their neighbours' rows.  bfs_hops answers one source at a time
+from neighbour_rows, tuples of the rows that its caller builds and drops,
+so a Graph holds its two arrays and nothing else for its whole life.  A
 DistanceMatrix holds only checked distances (a zero between distinct
 vertices is refused when it is built) and their pair table; the
 majorization weights belong to each smacof run.
@@ -81,12 +83,6 @@ class Graph:
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = self.indices > rows
         return np.column_stack((rows[upper], self.indices[upper]))
-
-    @cached_property
-    def neighbours(self) -> list[tuple[int, ...]]:
-        """The rows as tuples of Python ints, built on first use and kept for
-        the single-source searches (bfs_hops) that follow."""
-        return _neighbour_rows(self)
 
 
 class DistanceMatrix:
@@ -261,11 +257,8 @@ def parse_edge_list(source) -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, in order of smallest member.
-
-    Searches lists built for this call alone, so g keeps only its arrays.
-    """
-    neighbours = _neighbour_rows(g)
+    """Vertex lists of the connected components, in order of smallest member."""
+    neighbours = neighbour_rows(g)
     hops = [-1] * g.n
     return [sorted(_bfs(neighbours, s, hops)) for s in range(g.n) if hops[s] < 0]
 
@@ -290,8 +283,9 @@ def largest_connected_component(g: Graph, components=None) -> Graph:
     return Graph.from_edges(len(best), edges[edges[:, 0] >= 0])  # an edge leaves no component
 
 
-def _neighbour_rows(g: Graph) -> list[tuple[int, ...]]:
-    """Row v of g's CSR arrays as a tuple of Python ints, for every v.
+def neighbour_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Row v of g's CSR arrays as a tuple of Python ints, for every v: the
+    form the single-source searches walk.
 
     Tuples hold their items inline, so a search reads one object per row
     where a list would add an indirection (about 4 % of info's diameter).
@@ -317,13 +311,14 @@ def _bfs(neighbours: list[tuple[int, ...]], source: int, hops: list[int]) -> lis
     return order
 
 
-def bfs_hops(g: Graph, source: int) -> list[int]:
-    """Hop counts from source to every vertex; -1 marks unreachable.
+def bfs_hops(neighbours: list[tuple[int, ...]], source: int) -> list[int]:
+    """Hop counts from source to every vertex of neighbour_rows(g); -1 marks
+    unreachable.
 
     Every call is a distance query: connected_components runs _bfs itself.
     """
-    hops = [-1] * g.n
-    _bfs(g.neighbours, source, hops)
+    hops = [-1] * len(neighbours)
+    _bfs(neighbours, source, hops)
     return hops
 
 

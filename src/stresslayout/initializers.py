@@ -12,11 +12,10 @@ positive), so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, DistanceMatrix, Graph, bfs_hops
+from .graphs import DisconnectedGraphError, DistanceMatrix, Graph, bfs_hops, neighbour_rows
 
 # Fixed stream for the eigensolver's start vectors: deterministic, with
 # fresh draws for the shifted restart, because the vectors the unshifted
@@ -35,18 +34,6 @@ PIVOTS = 100
 
 class PowerIterationError(ValueError):
     """The eigensolver ran out of iterations (the CLI exits 1)."""
-
-
-@dataclass(frozen=True)
-class PivotConfig:
-    k: int = PIVOTS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("pivot count must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def random_init(n: int, seed: int) -> np.ndarray:
@@ -124,36 +111,40 @@ def _pivots_with_rows(graph, k, seed):
 
     The first pivot is drawn uniformly from the seed; each further pivot
     maximizes the distance to the already-chosen set, ties going to the
-    lowest vertex index.
+    lowest vertex index.  The k searches share one neighbour_rows list,
+    built for this call and dropped with it.
     """
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"pivot count must be in 1..{graph.n}, got {k}")
+    neighbours = neighbour_rows(graph)
     first = int(np.random.default_rng(seed).integers(graph.n))
     pivots = [first]
-    rows = [_hops_row(graph, first)]
+    rows = [_hops_row(neighbours, first)]
     nearest = rows[0]
     while len(pivots) < k:
         p = int(np.argmax(nearest))  # argmax takes the lowest index on ties
         pivots.append(p)
-        rows.append(_hops_row(graph, p))
+        rows.append(_hops_row(neighbours, p))
         nearest = np.minimum(nearest, rows[-1])
     return pivots, rows
 
 
-def pivot_mds(graph: Graph, config: PivotConfig = PivotConfig()) -> np.ndarray:
-    """PivotMDS layout from BFS distances to at most config.k max-min pivots.
+def pivot_mds(graph: Graph, k: int = PIVOTS, seed: int = 0) -> np.ndarray:
+    """PivotMDS layout from BFS distances to at most k max-min pivots.
 
-    Uses min(config.k, n) pivots.  The squared pivot-distance columns are
-    double-centered and the layout read off the top-2 left singular
-    directions, column-scaled to match classical MDS when every vertex is
-    a pivot.  One pivot's double-centered column is zero, so with k = 1
+    Uses min(k, n) pivots, the first drawn from seed.  The squared
+    pivot-distance columns are double-centered and the layout read off
+    the top-2 left singular directions, column-scaled to match classical
+    MDS when every vertex is a pivot.  One pivot's double-centered column is zero, so with k = 1
     every vertex sits at the origin.
     """
+    if k < 1:
+        raise ValueError("pivot count must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = graph.n
     if n < 2:
         raise ValueError("PivotMDS needs at least two vertices")
-    k = min(config.k, n)
-    _, rows = _pivots_with_rows(graph, k, config.seed)
+    k = min(k, n)
+    _, rows = _pivots_with_rows(graph, k, seed)
     if k == 1:
         return np.zeros((n, 2))
     c = _double_center(np.array(rows).T ** 2)  # (n, k)
@@ -178,8 +169,8 @@ def _double_center(squared: np.ndarray) -> np.ndarray:
     return squared
 
 
-def _hops_row(graph: Graph, source: int) -> np.ndarray:
-    hops = bfs_hops(graph, source)
+def _hops_row(neighbours, source: int) -> np.ndarray:
+    hops = bfs_hops(neighbours, source)
     if -1 in hops:
         raise DisconnectedGraphError(
             f"vertex {hops.index(-1)} unreachable from pivot {source}"

@@ -37,7 +37,6 @@ from stresslayout import (
     run_smacof,
 )
 from stresslayout.cli import main
-from stresslayout.initializers import PivotConfig
 from stresslayout.sgd import _round
 from helpers import (
     euclidean_distance_matrix,
@@ -290,7 +289,7 @@ def test_criterion_7_cmds_oracle_equivalence():
             continue
         checked += 1
         full = classical_mds(dmat)
-        approx = pivot_mds(graph, PivotConfig(k=n, seed=seed))
+        approx = pivot_mds(graph, n, seed)
         worst = max(worst, procrustes_error(full, approx))
     pivot_ok = worst <= 1e-6
     _report(

@@ -22,7 +22,7 @@ from stresslayout.cli import (
     main,
     peak_bytes,
 )
-from stresslayout.graphs import bfs_hops
+from stresslayout.graphs import bfs_hops, neighbour_rows
 from helpers import random_connected_graph
 
 P3_MTX = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
@@ -97,7 +97,7 @@ class TestLayoutCommand:
         assert (workdir / "g.iter3.svg").exists()
         assert not (workdir / "g.iter2.svg").exists()
 
-    @pytest.mark.parametrize("value", ["1,x", "0,-2,99", "0", "-1"])
+    @pytest.mark.parametrize("value", ["1,x", "0,-2,99", "0", "-1", "", ","])
     def test_bad_snapshots_are_usage_errors(self, workdir, capsys, no_loading, value):
         with pytest.raises(SystemExit) as info:
             main(["layout", "grid:3,3", f"--snapshots={value}"])
@@ -350,7 +350,7 @@ class TestHybridCommand:
         assert "--ks" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
-    @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two"])
+    @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two", "", ","])
     def test_bad_ks_are_usage_errors(self, workdir, capsys, no_loading, ks):
         with pytest.raises(SystemExit) as info:
             main(["hybrid", "path:30", f"--ks={ks}", "--reps", "1", "--out", "h.csv"])
@@ -391,6 +391,26 @@ def test_negative_seed_fails_before_loading(workdir, capsys, no_loading, argv, f
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "grid:3,3", "--out", "nodir/g.svg"],
+        ["layout", "grid:3,3", "--out", "ok.svg", "--trace", "nodir/t.csv"],
+        ["layout", "grid:3,3", "--out", "file/g.svg"],
+        ["bench", "path:6", "--reps", "1", "--trace", "t.csv", "--out", "nodir/r.csv"],
+        ["bench", "path:6", "--reps", "1", "--trace", "nodir/t.csv"],
+        ["hybrid", "path:6", "--reps", "1", "--out", "nodir/r.csv"],
+        ["hybrid", "path:6", "--reps", "1", "--out", "r.csv", "--trace", "file/t.csv"],
+    ],
+)
+def test_output_directories_checked_before_loading(workdir, capsys, no_loading, argv):
+    # a parent that is missing, or is a file, fails the run before it writes anything
+    (workdir / "file").write_text("")
+    assert main(argv) == 3
+    assert "is not a directory" in capsys.readouterr().err
+    assert [p.name for p in workdir.iterdir()] == ["file"]
+
+
 class TestTooFewVertices:
     @pytest.mark.parametrize(
         "argv",
@@ -429,7 +449,8 @@ class TestInfoCommand:
     )
     def test_diameter_equals_distance_matrix_max(self, workdir, capsys, graph):
         # the diameter is the largest hop count of a search from every source
-        expected = max(max(bfs_hops(graph, s)) for s in range(graph.n))
+        rows = neighbour_rows(graph)
+        expected = max(max(bfs_hops(rows, s)) for s in range(graph.n))
         assert expected == int(all_pairs_shortest_paths(graph).matrix.max())
         (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in graph.edges))
         assert main(["info", "g.edges"]) == 0
@@ -449,7 +470,8 @@ class TestInfoCommand:
         for i, j in g.edges.tolist():
             degrees[i] += 1
             degrees[j] += 1
-        diameter = max(max(bfs_hops(g, s)) for s in range(g.n))
+        rows = neighbour_rows(g)
+        diameter = max(max(bfs_hops(rows, s)) for s in range(g.n))
         assert main(["info", spec]) == 0
         assert capsys.readouterr().out == (
             f"graph: {name}\nvertices: {g.n}\nedges: {g.m}\ncomponents: 1\n"

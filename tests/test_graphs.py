@@ -26,13 +26,14 @@ from stresslayout import (
     parse_edge_list,
     parse_matrix_market,
     path_graph,
+    pivot_mds,
     random_init,
     run_sgd,
     run_smacof,
     stress,
 )
 from stresslayout import graphs
-from stresslayout.graphs import FAMILIES, bfs_hops, synthetic_spec
+from stresslayout.graphs import FAMILIES, bfs_hops, neighbour_rows, synthetic_spec
 from stresslayout.smacof import weights
 from stresslayout.stress import STRESS_BLOCK
 from helpers import floyd_warshall, random_connected_graph, reference_from_edges
@@ -40,7 +41,8 @@ from helpers import floyd_warshall, random_connected_graph, reference_from_edges
 
 def bfs_rows(g):
     """The distance matrix built from one bfs_hops row per source."""
-    return np.array([bfs_hops(g, s) for s in range(g.n)], dtype=float)
+    rows = neighbour_rows(g)
+    return np.array([bfs_hops(rows, s) for s in range(g.n)], dtype=float)
 
 
 def star_graph(n):
@@ -53,7 +55,7 @@ def random_graph(n, extra, seed, bipartite):
     if not bipartite:
         return g
     tree = random_connected_graph(n, 0, seed)  # the same draws build the same tree
-    colour = [hops % 2 for hops in bfs_hops(tree, 0)]
+    colour = [hops % 2 for hops in bfs_hops(neighbour_rows(tree), 0)]
     return Graph.from_edges(n, [(i, j) for i, j in g.edges if colour[i] != colour[j]])
 
 
@@ -248,15 +250,13 @@ class TestComponents:
         assert largest_connected_component(g).n == 0
 
     def test_searches_leave_the_graph_its_arrays(self):
-        # components search transient lists; single-source searches share one cached list form
+        # every search walks row tuples built for its call alone
         g = grid_graph(3, 4)
         connected_components(g)
+        pivot_mds(g, 3, 0)
         assert sorted(vars(g)) == ["indices", "indptr", "n"]
-        bfs_hops(g, 0)
-        rows = g.neighbours
-        bfs_hops(g, 5)
-        assert g.neighbours is rows
-        assert rows == [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
+        rows = [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
+        assert neighbour_rows(g) == rows
 
     def test_component_listing(self):
         g = Graph.from_edges(5, [(0, 1), (3, 4)])
@@ -273,7 +273,7 @@ class TestComponents:
         smallest = [min(c) for c in components]
         assert smallest == sorted(set(smallest))
         for c in components:
-            hops = bfs_hops(g, c[0])
+            hops = bfs_hops(neighbour_rows(g), c[0])
             assert c == [v for v in range(n) if hops[v] >= 0]
 
 
@@ -374,7 +374,7 @@ class TestShortestPaths:
     def test_one_search_names_lowest_vertex_unreachable_from_0(self, budget, graph):
         n, edges = graph
         g = Graph.from_edges(n, edges)
-        hops, expected = bfs_hops(g, 0), bfs_rows(g)
+        hops, expected = bfs_hops(neighbour_rows(g), 0), bfs_rows(g)
         with pytest.MonkeyPatch.context() as patch:
             if budget == "one entry":
                 patch.setattr(graphs, "_scratch_entries", lambda n: 1)

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ from stresslayout import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
-    PivotConfig,
     PowerIterationError,
     all_pairs_shortest_paths,
     classical_mds,
@@ -197,14 +197,14 @@ class TestChoosePivots:
 
 
 class TestPivotMds:
-    def test_config_rejects_negative_seed(self):
+    def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
-            PivotConfig(seed=-2)
+            pivot_mds(grid_graph(3, 3), seed=-2)
 
     def test_path3_matches_cmds(self):
         g = path_graph(3)
         dist = all_pairs_shortest_paths(g)
-        layout = pivot_mds(g, PivotConfig(k=3, seed=0))
+        layout = pivot_mds(g, 3, 0)
         assert procrustes_error(layout, classical_mds(dist)) < 1e-6
 
     def test_all_pivots_equals_cmds(self):
@@ -214,14 +214,14 @@ class TestPivotMds:
             eigs = top_eigenvalues(dist, 3)
             if eigs[1] - eigs[2] < 1e-6 * eigs[0]:
                 continue
-            layout = pivot_mds(g, PivotConfig(k=14, seed=seed))
+            layout = pivot_mds(g, 14, seed)
             assert procrustes_error(layout, classical_mds(dist)) < 1e-6
 
     def test_grid_half_pivots_close_to_cmds(self):
         g = grid_graph(10, 10)
         dist = all_pairs_shortest_paths(g)
         full = classical_mds(dist)
-        approx = pivot_mds(g, PivotConfig(k=50, seed=0))
+        approx = pivot_mds(g, 50, 0)
         radius = math.sqrt(((full - full.mean(axis=0)) ** 2).sum() / g.n)
         # threshold frozen from measurement; the grid's tied spectrum leaves
         # a rotation freedom that procrustes cannot fully absorb
@@ -229,14 +229,14 @@ class TestPivotMds:
 
     def test_deterministic(self):
         g = grid_graph(5, 5)
-        a = pivot_mds(g, PivotConfig(k=10, seed=3))
-        b = pivot_mds(g, PivotConfig(k=10, seed=3))
+        a = pivot_mds(g, 10, 3)
+        b = pivot_mds(g, 10, 3)
         assert np.array_equal(a, b)
 
     def test_oversized_k_clamped(self):
         g = path_graph(5)
-        layout = pivot_mds(g, PivotConfig(k=50, seed=0))
-        assert np.array_equal(layout, pivot_mds(g, PivotConfig(k=5, seed=0)))
+        layout = pivot_mds(g, 50, 0)
+        assert np.array_equal(layout, pivot_mds(g, 5, 0))
 
     def test_all_pivots_on_path_is_exact(self):
         # path:100 is exactly realizable on a line: the second column
@@ -244,21 +244,34 @@ class TestPivotMds:
         g = path_graph(100)
         dist = all_pairs_shortest_paths(g)
         for seed in (0, 1, 2):
-            assert stress(pivot_mds(g, PivotConfig(k=100, seed=seed)), dist) <= 1e-20
+            assert stress(pivot_mds(g, 100, seed), dist) <= 1e-20
 
     def test_two_points(self):
-        layout = pivot_mds(path_graph(2), PivotConfig(k=2))
+        layout = pivot_mds(path_graph(2), 2)
         assert math.hypot(*(layout[0] - layout[1])) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(layout[:, 1]).max() < 1e-6
 
     def test_one_pivot_places_every_vertex_at_origin(self):
-        layout = pivot_mds(grid_graph(4, 4), PivotConfig(k=1))
+        layout = pivot_mds(grid_graph(4, 4), 1)
         assert np.array_equal(layout, np.zeros((16, 2)))
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
-            pivot_mds(Graph.from_edges(1, []), PivotConfig(k=1))
+            pivot_mds(Graph.from_edges(1, []), 1)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PivotConfig(k=0)
+    def test_rejects_zero_pivots(self):
+        with pytest.raises(ValueError, match="pivot count must be positive"):
+            pivot_mds(grid_graph(3, 3), 0)
+
+    def test_graph_holds_nothing_after_a_run(self):
+        # the searches' row tuples die with the call: nothing it allocated stays
+        pivot_mds(grid_graph(4, 4), 3, 0)  # one-time allocations
+        g = grid_graph(30, 30)
+        tracemalloc.start()
+        try:
+            pivot_mds(g, 3, 0)
+            gc.collect()  # a full collection also empties the interpreter's tuple free lists
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < g.m

@@ -1,6 +1,9 @@
 import importlib.util
+import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -51,3 +54,24 @@ def test_rejects_zero_repeats():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2 and "--repeats must be positive" in done.stderr
+
+
+def test_pins_blas_threads_before_numpy_loads():
+    # a finder ahead of the others sees numpy's first import and records the variables then
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = textwrap.dedent(f"""
+        import importlib.util, json, os, sys
+        seen = []
+        class Probe:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append({{var: os.environ.get(var) for var in {names!r}}})
+        sys.meta_path.insert(0, Probe())
+        spec = importlib.util.spec_from_file_location("layer_times", {str(SCRIPT)!r})
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        print(json.dumps(seen))
+    """)
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == [dict.fromkeys(names, "1")]
