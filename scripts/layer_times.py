@@ -8,10 +8,10 @@ calls, one SMACOF sweep, one stress() call) and a column per graph.
 In the first, each cell is the median of --repeats timed calls after
 one untimed warm-up call.  In the second, each cell is the tracemalloc
 peak of one more call: the bytes that call allocates at its peak,
-beyond what was allocated before it (such as the distance matrix, its
-pair table and the sweep's weights).  The sweep and the stress() call
-start from the classical-MDS layout, and the sweep's weights are built
-before it is timed; run_sgd starts from random_init(n, 0).  BLAS runs on
+beyond what was allocated before it (such as the distance matrix and
+its pair table).  The sweep and the stress() call start from the
+classical-MDS layout, and the sweep reads only the distance matrix;
+run_sgd starts from random_init(n, 0).  BLAS runs on
 one thread, pinned before numpy is imported, as perfbench/run.py pins
 it: unpinned, the times include waking the BLAS threads.
 
@@ -45,7 +45,6 @@ from stresslayout import (  # noqa: E402
     stress,
 )
 from stresslayout.cli import load_graph  # noqa: E402
-from stresslayout.smacof import weights  # noqa: E402
 
 GRAPHS = ("grid:10,10", "grid:30,30", "grid:40,50")
 
@@ -55,7 +54,6 @@ def layers(spec):
     _, graph = load_graph(spec)
     dist = all_pairs_shortest_paths(graph)
     cmds = classical_mds(dist)
-    wn = weights(dist)
     start = random_init(graph.n, 0)
     return graph.n, [
         ("Load (`generate` + components)",
@@ -65,7 +63,7 @@ def layers(spec):
         ("`pivot_mds` (k = 100)", lambda: pivot_mds(graph, 100, 0)),
         ("`run_sgd`, 15 iterations, with its 16 `stress()` calls",
          lambda: run_sgd(dist, start, SgdConfig())),
-        ("One SMACOF sweep (`smacof_iteration`)", lambda: smacof_iteration(cmds, dist, wn)),
+        ("One SMACOF sweep (`smacof_iteration`)", lambda: smacof_iteration(cmds, dist)),
         ("One `stress()` call", lambda: stress(cmds, dist)),
     ]
 

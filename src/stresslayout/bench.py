@@ -137,6 +137,11 @@ def run_hybrid(config: ExperimentConfig, ks) -> list[StressTrace]:
     """Per graph, run_grid's cells and then, on the same distance matrix,
     hybrid_layout for each k in ks and repetition (k-major, seed
     base_seed + r), traced as initializer sgd_<k> with phase_boundary = k.
+
+    Majorization is deterministic, so each distinct start runs once per
+    graph: the smacof x cmds cell once for all its seeds, and hybrid
+    k = 0, plain majorization from random_init(n, seed), takes the
+    values of the smacof x random cell of its seed.
     """
     traces: list[StressTrace] = []
     seeds = range(config.base_seed, config.base_seed + config.repetitions)
@@ -145,27 +150,23 @@ def run_hybrid(config: ExperimentConfig, ks) -> list[StressTrace]:
     for name, graph in config.graphs:
         dist = all_pairs_shortest_paths(graph)
         cmds_layout = classical_mds(dist) if "cmds" in config.initializers else None
+        majorized = {}  # (initializer, seed, or None for cmds) -> majorization values
         for algorithm, initializer, k in cells:
             for seed in seeds:
                 sgd_config = SgdConfig(config.sgd_iterations, config.sgd_eps, seed)
-                if algorithm == "hybrid":
-                    _, values = hybrid_layout(dist, k, sgd_config)
+                start = ("random" if k == 0 else initializer, None if initializer == "cmds" else seed)
+                if algorithm == "sgd":
+                    x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed)
+                    _, values = run_sgd(dist, x0, sgd_config)
+                elif start in majorized:
+                    values = majorized[start]
+                elif algorithm == "hybrid":
+                    values = majorized[start] = hybrid_layout(dist, k, sgd_config)[1]
                 else:
                     x0 = _initial_layout(initializer, graph, dist, cmds_layout, seed)
-                    if algorithm == "sgd":
-                        _, values = run_sgd(dist, x0, sgd_config)
-                    else:
-                        _, values = run_smacof(dist, x0)
-                traces.append(
-                    StressTrace(
-                        graph=name,
-                        algorithm=algorithm,
-                        initializer=initializer,
-                        seed=seed,
-                        values=tuple(values),
-                        phase_boundary=k,
-                    )
-                )
+                    values = majorized[start] = run_smacof(dist, x0)[1]
+                traces.append(StressTrace(graph=name, algorithm=algorithm, initializer=initializer,
+                                          seed=seed, values=tuple(values), phase_boundary=k))
         del dist, cmds_layout  # freed before the next graph's search
     return traces
 

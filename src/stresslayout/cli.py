@@ -68,8 +68,8 @@ SGD_K = 7
 # from cmds or with smacof peaked at 1.0 to 1.25 B per entry above
 # their traced peak and the interpreter, from n = 2000 to 4000.  A
 # layout run on grid:3,3 peaks at 36.5 MiB, and layout grid:40,50
-# --iters 3 at 62.3-63.2 MiB (sgd) and 91.7 MiB (smacof) against estimates
-# of 87.9 and 107.0.
+# --iters 3 at 62.3-63.2 MiB (sgd) and 63.5-63.7 MiB (smacof) against an
+# estimate of 87.9 for both.
 # EDGE_BYTES is the peak of loading a graph, per edge: the larger of
 # generate and of reading and parsing a file, which holds a Python
 # object per line and per pair until Graph.from_edges sorts their keys
@@ -258,20 +258,19 @@ def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
       squared float64 copy (w + 8);
     - the run: the matrix and its pair table (two int32 indices and one
       hop count per unordered pair, (8 + w) / 2), plus the boolean mask
-      that builds the table (1) for sgd, or the majorization weights
-      that each run_smacof call builds and drops (8) for smacof and
-      hybrid;
-    and HEAP_SLACK on top of the largest.  A campaign frees each graph's
-    arrays before the next graph's search, so one graph's estimate
-    bounds its runs; check_campaign adds the graphs a campaign holds.
+      that builds the table (1); the majorization sweep reads the matrix
+      a block of rows at a time and adds no n x n term;
+    and HEAP_SLACK on top of the largest, which is classical MDS for
+    every algorithm.  A campaign frees each graph's arrays before the
+    next graph's search, so one graph's estimate bounds its runs;
+    check_campaign adds the graphs a campaign holds.
     """
     per_entry = 0.0
     if algorithm is not None:
         width = np.min_scalar_type(max(n - 1, 0)).itemsize
         per_entry = 4 + width
         if algorithm != "search":
-            run = width + (8 + width) / 2 + (1 if algorithm == "sgd" else 8)
-            per_entry = max(per_entry, width + 8, run)
+            per_entry = max(per_entry, width + 8, width + (8 + width) / 2 + 1)
         per_entry += HEAP_SLACK
     return RUN_FLOOR + EDGE_BYTES * m + math.ceil(per_entry * n * n)
 
@@ -318,13 +317,19 @@ def _refuse_over_limit(what: str, estimate: int) -> None:
         )
 
 
-def _check_output_dirs(*paths) -> None:
-    """Refuse an output path whose parent is not a directory (exit 3), before
-    any graph is loaded, so that a run that cannot write all of its
-    outputs writes none of them."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise NotADirectoryError(f"{path}: {Path(path).parent} is not a directory")
+def _check_output_dirs(out, trace) -> None:
+    """Refuse an output path whose parent is not a directory or that is
+    itself a directory (exit 3), and one path given as both --out and
+    --trace (exit 1), so that a run that cannot write all of its outputs
+    writes none of them.  Each command checks its flags before any graph
+    is loaded; layout checks its default names again once it knows them."""
+    for path in map(Path, filter(None, (out, trace))):
+        if not path.parent.is_dir():
+            raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise IsADirectoryError(f"{path}: is a directory")
+    if out and trace and Path(out).resolve() == Path(trace).resolve():
+        raise ValueError(f"--out and --trace name the same file: {out}")
 
 
 def _check_format(fmt: str | None, specs) -> None:
@@ -436,9 +441,10 @@ def cmd_layout(args) -> int:
     _check_output_dirs(args.out, args.trace)
     _check_format(args.format, [args.input])
     name, graph = _load_connected(args.input, args.format, args.strict, (args.alg,))
-    dist = all_pairs_shortest_paths(graph)
     out_path = Path(args.out) if args.out else Path(f"{name}.svg")
     trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")
+    _check_output_dirs(out_path, trace_path)  # again with the default names, before the run
+    dist = all_pairs_shortest_paths(graph)
 
     def snapshot(t, coords):
         if t in snapshots:

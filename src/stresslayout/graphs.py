@@ -15,7 +15,7 @@ from neighbour_rows, tuples of the rows that its caller builds and drops,
 so a Graph holds its two arrays and nothing else for its whole life.  A
 DistanceMatrix holds only checked distances (a zero between distinct
 vertices is refused when it is built) and their pair table; the
-majorization weights belong to each smacof run.
+majorization sweep reads the matrix itself, a block of rows at a time.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ run in fixed index order, each vertex seeing already-updated positions,
 which keeps the method deterministic without any seed.
 
 The sweep works on complex coordinates z = x + iy, the view stress.points
-of the (n, 2) layout.  With the row-normalized weights wn = weights(dist)
-(each row sums to 1; built once per run_smacof call and dropped with
-it), the update of vertex i is two dot products:
+of the (n, 2) layout.  Since the normalized weights of a row sum to 1,
+the weighted average is a move of vertex i by one dot product:
 
-    z_i <- wn_i . z + (wn_i * d_i / |z_i - z|) . (z_i - z)
+    z_i <- z_i + (c . (z_i - z)) / s_i
+    c_j = 1 / (d_ij |z_i - z_j|) - 1 / d_ij**2,   s_i = sum_j d_ij**-2
 
-The coefficient row is formed per vertex, not cached; the target rows
-d_i are cast from the matrix's dtype to float64 SWEEP_ROWS at a time.
+The rows of 1/d (diagonal zeroed), their squares and the sums s_i are
+read from the distance matrix SWEEP_ROWS rows at a time, so a run holds
+no n x n array of its own.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .stress import as_layout, points, separate, stress
 # runs stay deterministic.
 _JITTER_SEED = 0x5AC0F
 
-# A sweep casts this many rows of the distance matrix to float64 at a time:
-# one cast per vertex costs more than the mixed-type products it saves.
-SWEEP_ROWS = 64
+# A sweep reads this many rows of the distance matrix at a time: one read
+# per vertex costs more numpy calls, a whole matrix n x n memory.  At the
+# paper's n = 100 a sweep reads one block, about 4 % faster than two.
+SWEEP_ROWS = 100
 
 # Default sweep cap, and the relative stress decrease below which a run stops.
 MAX_SWEEPS = 500
@@ -49,74 +51,58 @@ class SmacofConfig:
             raise ValueError("max_iterations must be positive")
 
 
-def weights(dist: DistanceMatrix) -> np.ndarray:
-    """Row-normalized stress weights, zero on the diagonal.
-
-    Entry (i, j) is d_ij**-2 / sum_k d_ik**-2, so each row sums to 1
-    (for n >= 2); majorization places vertex i at the weighted average
-    its row describes.  The squares are taken in float64, whatever the
-    matrix's dtype.
-    """
-    w = np.square(dist.matrix, dtype=np.float64)
-    np.fill_diagonal(w, 1.0)
-    np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
-    if dist.n > 1:
-        w /= w.sum(axis=1, keepdims=True)
-    return w
+def _inverse_rows(d, start: int, inverse, squares):
+    """Rows of 1/d in float64 with the diagonal zeroed, for the block d of
+    the matrix's rows from start, and their squares, written to the
+    leading rows of the buffers inverse and squares; returns the two
+    written blocks and the squares' row sums (a list)."""
+    inverse, squares = inverse[:len(d)], squares[:len(d)]
+    np.divide(1.0, d, out=inverse)
+    np.fill_diagonal(inverse[:, start:], 0.0)
+    np.square(inverse, out=squares)
+    return inverse, squares, squares.sum(axis=1).tolist()
 
 
-def _place(z, weight_row, target_row, diff, lengths) -> complex:
-    """Weighted average of one vertex's per-neighbor targets (weights sum to 1).
-
-    A zero length (a coincident neighbor) makes the result NaN: its
-    coefficient is infinite and its offset zero.
-    """
-    return weight_row @ z + (weight_row * target_row / lengths) @ diff
-
-
-def _offsets(i: int, z):
-    """Offsets z_i - z and their lengths, with lengths[i] set to 1."""
-    diff = z[i] - z
-    lengths = np.abs(diff)
-    lengths[i] = 1.0
-    return diff, lengths
-
-
-def smacof_iteration(
-    coords,
-    dist: DistanceMatrix,
-    wn: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def smacof_iteration(coords, dist: DistanceMatrix, rng: np.random.Generator | None = None) -> np.ndarray:
     """One majorization sweep: update vertices 0..n-1 sequentially.
 
     Takes and returns an (n, 2) layout, updated through its complex view
-    stress.points; wn is weights(dist).  Stress never increases over a
-    sweep.  When vertex i coincides with k others, stress.separate nudges
-    the k pairs apart (one angle per pair, in index order) before its
-    update; the jitter generator is fixed-seeded when not supplied.
-    Target rows are read as float64 SWEEP_ROWS rows at a time.
+    stress.points.  Stress never increases over a sweep.  When vertex i
+    coincides with k others, stress.separate nudges the k pairs apart
+    (one angle per pair, in index order) before its update; the jitter
+    generator is fixed-seeded when not supplied.  The offsets, their
+    lengths and the coefficients go to buffers allocated once per sweep.
     """
     x = as_layout(coords, dist.n)
-    if dist.n < 2:
+    n = dist.n
+    if n < 2:
         raise ValueError("need at least two vertices")
     if rng is None:
         rng = np.random.default_rng(_JITTER_SEED)
     z = points(x)
-    d = dist.matrix
+    diff, lengths, coef = np.empty(n, complex), np.empty(n), np.zeros(n, complex)
+    coef_re = coef.real  # c is real: written through this view, read by the complex dot
+    buffers = np.empty((2, min(n, SWEEP_ROWS), n))
+    subtract, absolute, divide, dot = np.subtract, np.abs, np.divide, np.dot  # per-vertex calls
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, dist.n, SWEEP_ROWS):
-            rows = d[start:start + SWEEP_ROWS].astype(np.float64, copy=False)
-            for i, target_row in enumerate(rows, start):
-                diff, lengths = _offsets(i, z)
-                zi = _place(z, wn[i], target_row, diff, lengths)
-                if zi != zi:  # NaN: vertex i coincides with another vertex
+        for start in range(0, n, SWEEP_ROWS):
+            block = _inverse_rows(dist.matrix[start:start + SWEEP_ROWS], start, *buffers)
+            for i, inverse_row, square_row, total in zip(range(start, n), *block):
+                for retry in (False, True):
+                    zi = z[i]
+                    subtract(zi, z, out=diff)
+                    absolute(diff, out=lengths)
+                    lengths[i] = 1.0
+                    divide(inverse_row, lengths, out=coef_re)
+                    subtract(coef_re, square_row, out=coef_re)
+                    # a coincident neighbor has an infinite coefficient and a
+                    # zero offset, so the dot is NaN
+                    step = dot(coef, diff)
+                    if step == step or retry:
+                        break
                     j = np.nonzero(lengths == 0.0)[0]
                     separate(z, np.full(len(j), i), j, rng)
-                    diff, lengths = _offsets(i, z)
-                    zi = _place(z, wn[i], target_row, diff, lengths)
-                z[i] = zi
+                z[i] = zi + step / total
     return x
 
 
@@ -136,10 +122,9 @@ def run_smacof(
     x = as_layout(init, dist.n)
     rng = np.random.default_rng(_JITTER_SEED)
     previous = stress(x, dist)
-    wn = weights(dist)
     trace = [previous]
     for sweep in range(config.max_iterations):
-        x = smacof_iteration(x, dist, wn, rng)
+        x = smacof_iteration(x, dist, rng)
         current = stress(x, dist)
         trace.append(current)
         if callback is not None:

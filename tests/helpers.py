@@ -26,7 +26,6 @@ import numpy as np
 
 from stresslayout import DistanceMatrix, Graph, stress
 from stresslayout.sgd import _round, step_widths
-from stresslayout.smacof import _offsets, _place, weights
 from stresslayout.stress import JITTER_EPSILON, as_layout, points
 
 
@@ -265,8 +264,10 @@ def reference_sweep(coords, dist: DistanceMatrix, rng: np.random.Generator) -> n
 def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     """Optimal reposition of vertex i with all other vertices held fixed.
 
-    The same arithmetic as one step of smacof_iteration (_offsets and
-    _place), so a sweep equals n of these in index order bit for bit.
+    The same arithmetic as one step of smacof_iteration, computed here
+    from row i of the distances alone, so a sweep equals n of these in
+    index order bit for bit: z_i + (c . (z_i - z)) / s with
+    c_j = 1 / (d_ij |z_i - z_j|) - 1 / d_ij**2 and s = sum_j d_ij**-2.
     With a single other vertex the result lands on the ray from that
     vertex through x_i at exactly the target distance.  Raises on
     coincident points.
@@ -275,10 +276,17 @@ def vertex_update(i: int, coords, dist: DistanceMatrix) -> np.ndarray:
     if dist.n < 2:
         raise ValueError("vertex update needs at least two vertices")
     z = points(x)
-    diff, lengths = _offsets(i, z)
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / dist.matrix[i].astype(float)
+    inverse[i] = 0.0
+    squares = inverse**2
+    diff = z[i] - z
+    lengths = np.abs(diff)
+    lengths[i] = 1.0
     if not lengths.all():
         raise ValueError(f"vertex {i} coincides with another vertex")
-    zi = _place(z, weights(dist)[i], dist.matrix[i].astype(float), diff, lengths)
+    coef = (inverse / lengths - squares).astype(complex)
+    zi = z[i] + (coef @ diff) / squares.sum()
     return np.array([zi.real, zi.imag])
 
 

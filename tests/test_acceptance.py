@@ -118,7 +118,7 @@ def cells(graphs):
 
 def test_criterion_1_monotone_majorization(cells):
     # The 1e-9 relative bound is paired with a 1e-15 absolute noise floor:
-    # on path_100 the cmds-initialized trace bottoms out near 1e-26 where
+    # on path_100 the cmds-initialized trace bottoms out near 1e-28 where
     # the computed stress wobbles by arithmetic rounding, and a purely
     # relative comparison would measure that noise rather than descent.
     # Above stress 1e-6 the relative bound alone decides, unchanged.
@@ -169,7 +169,7 @@ def test_criterion_2_random_init_penalty_for_smacof(cells):
 def test_criterion_3_sgd_init_indifference(cells):
     # Expected to FAIL on path_100: the path's hop distances are exactly
     # realizable on a line, so the majorization-from-cmds baseline is
-    # about 1e-26 (1.27e-26) and any relative comparison against it is
+    # about 1e-28 (2.45e-28 after 8 sweeps) and any relative comparison against it is
     # astronomically large.  The criterion holds on instances with meaningfully positive
     # baseline stress (cycle_100, grid_10x10).
     details = []
@@ -185,7 +185,7 @@ def test_criterion_3_sgd_init_indifference(cells):
 
 def test_criterion_4_self_initialization(cells):
     # The k=7 clause is expected to FAIL on path_100 for the same reason
-    # as criterion 3: the baseline there is about 1e-26, while an annealed run
+    # as criterion 3: the baseline there is about 1e-28, while an annealed run
     # from a random start bottoms out around 1e-2.  The k=1 clause holds
     # everywhere.
     details = []

@@ -11,6 +11,7 @@ from stresslayout import (
     SgdConfig,
     StressTrace,
     all_pairs_shortest_paths,
+    classical_mds,
     export_csv,
     grid_graph,
     hybrid_layout,
@@ -259,6 +260,30 @@ class TestRunHybrid:
             _, values = hybrid_layout(dist, 2, SgdConfig(6, 0.1, trace.seed))
             assert trace.values == tuple(values)
 
+    def test_each_majorization_start_runs_once(self, monkeypatch):
+        # smacof x cmds runs once for its 3 seeds and hybrid k = 0 reuses
+        # smacof x random: 1 + 3 + 0 + 3 (k = 1) runs, where every cell
+        # running its own would make 12
+        calls = []
+        monkeypatch.setattr(bench, "run_smacof",
+                            lambda *args, **kw: calls.append(args) or run_smacof(*args, **kw))
+        graph = grid_graph(4, 4)
+        config = ExperimentConfig(graphs=(("g", graph),), initializers=("cmds", "random"),
+                                  repetitions=3)
+        traces = run_hybrid(config, (0, 1))
+        assert len(calls) == 7
+        dist = all_pairs_shortest_paths(graph)
+        cmds = classical_mds(dist)
+        majorized = [t for t in traces if t.algorithm != "sgd"]
+        assert len(majorized) == 12
+        for trace in majorized:
+            if trace.algorithm == "hybrid":
+                _, values = hybrid_layout(dist, trace.phase_boundary, SgdConfig(seed=trace.seed))
+            else:
+                start = cmds if trace.initializer == "cmds" else random_init(16, trace.seed)
+                _, values = run_smacof(dist, start)
+            assert trace.values == tuple(values)
+
     def test_no_ks_is_run_grid(self):
         assert run_hybrid(self.config(), ()) == run_grid(self.config())
 
@@ -275,7 +300,7 @@ class TestRunHybrid:
 
     @pytest.mark.parametrize("algorithms,rows", [(("sgd",), 20), (("sgd", "smacof"), 15)])
     def test_holds_one_graph_at_a_time(self, algorithms, rows):
-        # a graph's distance matrix, pair table and weights are gone before
+        # a graph's distance matrix and pair table are gone before
         # the next graph's search, so two equal graphs peak as one does
         def peak(*shapes):
             config = ExperimentConfig(

@@ -411,6 +411,57 @@ def test_output_directories_checked_before_loading(workdir, capsys, no_loading, 
     assert [p.name for p in workdir.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "grid:3,3", "--out", "adir"],
+        ["layout", "grid:3,3", "--out", "ok.svg", "--trace", "adir"],
+        ["bench", "path:6", "--reps", "1", "--trace", "t.csv", "--out", "adir"],
+        ["bench", "path:6", "--reps", "1", "--trace", "adir/"],
+        ["hybrid", "path:6", "--reps", "1", "--out", "adir"],
+        ["hybrid", "path:6", "--reps", "1", "--out", "r.csv", "--trace", "adir"],
+    ],
+)
+def test_directory_outputs_refused_before_loading(workdir, capsys, no_loading, argv):
+    (workdir / "adir").mkdir()
+    assert main(argv) == 3
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in workdir.iterdir()] == ["adir"]
+    assert list((workdir / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, made, code", [
+    (["layout", "grid:3,3", "--out", "grid_3x3.trace.csv"], [], 1),
+    (["layout", "grid:3,3", "--trace", "grid_3x3.svg"], [], 1),
+    (["layout", "grid:3,3"], ["grid_3x3.svg"], 3),
+])
+def test_default_output_names_checked_before_the_run(workdir, capsys, monkeypatch, argv, made,
+                                                     code):
+    # a default name (<graph>.svg, <graph>.trace.csv) is known once the graph is loaded
+    monkeypatch.setattr(cli, "all_pairs_shortest_paths", lambda graph: pytest.fail("ran"))
+    for name in made:
+        (workdir / name).mkdir()
+    assert main(argv) == code
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == made
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "grid:3,3", "--out", "same.csv", "--trace", "same.csv"],
+        ["bench", "path:6", "--reps", "1", "--trace", "same.csv", "--out", "same.csv"],
+        ["hybrid", "path:6", "--reps", "1", "--out", "same.csv", "--trace", "./same.csv"],
+    ],
+)
+def test_one_path_for_both_outputs_refused_before_loading(workdir, capsys, no_loading, argv):
+    # the report would overwrite the traces
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--out" in err and "--trace" in err
+    assert list(workdir.iterdir()) == []
+
+
 class TestTooFewVertices:
     @pytest.mark.parametrize(
         "argv",
@@ -538,12 +589,16 @@ class TestSizeGuard:
             search = (4 + width) * n * n  # int32 buffer and narrow result
             cmds = (width + 8) * n * n  # the matrix and its squared float64 copy
             table = (width + (8 + width) / 2) * n * n  # the matrix and its pair table
-            for alg, phases in (("search", [search]),
-                                ("sgd", [search, cmds, table + n * n]),
-                                ("smacof", [search, cmds, table + 8 * n * n])):
+            # the table's boolean mask (1) is built with it; a majorization
+            # sweep holds no n x n array
+            run = table + n * n
+            for alg, phases in (("search", [search]), ("sgd", [search, cmds, run]),
+                                ("smacof", [search, cmds, run])):
                 assert peak_bytes(n, m, alg) == pytest.approx(
                     base + max(phases) + HEAP_SLACK * n * n, abs=1)
-            assert peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
+            # every run peaks at classical MDS
+            assert peak_bytes(n, m, "sgd") == peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
+            assert peak_bytes(n, m, "smacof") == pytest.approx(base + cmds + HEAP_SLACK * n * n, abs=1)
             assert peak_bytes(n, m + 1, "sgd") - peak_bytes(n, m, "sgd") == EDGE_BYTES
             # loading alone (info) has no n**2 terms
             assert peak_bytes(n, m) == base

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,22 +20,37 @@ from stresslayout import (
     stress,
 )
 from stresslayout import smacof
-from stresslayout.smacof import _JITTER_SEED, MAX_SWEEPS, REL_TOLERANCE, weights
+from stresslayout.smacof import _JITTER_SEED, MAX_SWEEPS, REL_TOLERANCE, _inverse_rows
 from helpers import random_connected_graph, reference_sweep, vertex_update
 
 P2_DIST = all_pairs_shortest_paths(path_graph(2))
 
 
-class TestWeights:
-    def test_row_normalized_inverse_squares(self):
-        # row-normalized d**-2: row 0 of path:3 is [0, 1, 1/4] / (5/4)
-        w = weights(all_pairs_shortest_paths(path_graph(3)))
-        assert w[0].tolist() == pytest.approx([0.0, 0.8, 0.2], abs=1e-15)
-        for graph in (path_graph(7), grid_graph(3, 4), cycle_graph(9)):
-            w = weights(all_pairs_shortest_paths(graph))
-            assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-            assert not np.diagonal(w).any()
-            assert (w[~np.eye(graph.n, dtype=bool)] > 0.0).all()
+def inverse_rows(d, start, stop):
+    """_inverse_rows of rows start..stop-1 of d, into buffers of their own."""
+    with np.errstate(divide="ignore"):
+        return _inverse_rows(d[start:stop], start, *np.empty((2, stop - start, len(d))))
+
+
+class TestInverseRows:
+    def test_inverse_rows_and_row_sums(self):
+        # path:3: rows of 1/d with a zero diagonal, their squares and the squares' sums
+        inverse, squares, totals = inverse_rows(all_pairs_shortest_paths(path_graph(3)).matrix, 0, 3)
+        assert inverse.tolist() == [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]
+        assert squares.tolist() == [[0.0, 1.0, 0.25], [1.0, 0.0, 1.0], [0.25, 1.0, 0.0]]
+        assert totals == [1.25, 2.0, 1.25]
+
+    @pytest.mark.parametrize("graph", [path_graph(7), grid_graph(3, 4), cycle_graph(9)])
+    def test_blocks_match_whole_rows(self, graph):
+        # any block of rows gives the bits of the whole, row sums included
+        d = all_pairs_shortest_paths(graph).matrix
+        whole = inverse_rows(d, 0, graph.n)
+        assert not np.diagonal(whole[0]).any()
+        assert (whole[0][~np.eye(graph.n, dtype=bool)] > 0.0).all()
+        for start, stop in ((0, 1), (2, 5), (graph.n - 1, graph.n)):
+            for block, expected in zip(inverse_rows(d, start, stop), whole):
+                assert np.array_equal(block, expected[start:stop])
+            assert inverse_rows(d, start, stop)[2] == [row.sum() for row in whole[1][start:stop]]
 
 
 class TestVertexUpdate:
@@ -68,11 +84,11 @@ class TestSmacofIteration:
     def test_zero_stress_layout_unchanged(self):
         dist = all_pairs_shortest_paths(path_graph(4))
         layout = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        after = smacof_iteration(layout, dist, weights(dist))
+        after = smacof_iteration(layout, dist)
         assert np.abs(after - layout).max() < 1e-12
 
     def test_single_edge_realized_after_one_sweep(self):
-        after = smacof_iteration([[0.0, 0.0], [3.0, 0.0]], P2_DIST, weights(P2_DIST))
+        after = smacof_iteration([[0.0, 0.0], [3.0, 0.0]], P2_DIST)
         # worked out by hand: vertex 0 moves to (2, 0); vertex 1, now at
         # distance 1 from it, stays put
         assert np.allclose(after, [[2.0, 0.0], [3.0, 0.0]], atol=1e-15)
@@ -84,21 +100,19 @@ class TestSmacofIteration:
         manual = layout.copy()
         for i in range(5):
             manual[i] = vertex_update(i, manual, dist)
-        assert np.array_equal(smacof_iteration(layout, dist, weights(dist)), manual)
+        assert np.array_equal(smacof_iteration(layout, dist), manual)
 
     def test_column_major_layout_accepted(self):
         # the sweep views rows as complex numbers, which needs C order
         dist = all_pairs_shortest_paths(grid_graph(3, 3))
         layout = random_init(9, 4)
         fortran = np.asfortranarray(layout)
-        wn = weights(dist)
-        assert np.array_equal(smacof_iteration(fortran, dist, wn),
-                              smacof_iteration(layout, dist, wn))
+        assert np.array_equal(smacof_iteration(fortran, dist), smacof_iteration(layout, dist))
         assert np.array_equal(vertex_update(4, fortran, dist), vertex_update(4, layout, dist))
 
     def test_coincident_points_jittered(self):
         dist = all_pairs_shortest_paths(path_graph(3))
-        after = smacof_iteration([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], dist, weights(dist))
+        after = smacof_iteration([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], dist)
         assert np.isfinite(after).all()
         lengths = [math.hypot(*(after[i] - after[j])) for i in range(3) for j in range(i)]
         assert min(lengths) > 0.0
@@ -112,7 +126,7 @@ class TestSmacofIteration:
         dist = all_pairs_shortest_paths(g)
         layout = rng.random((n, 2)) * float(rng.uniform(0.5, 10.0))
         before = stress(layout, dist)
-        after = stress(smacof_iteration(layout, dist, weights(dist)), dist)
+        after = stress(smacof_iteration(layout, dist), dist)
         assert after <= before * (1.0 + 1e-9) + 1e-12
 
 
@@ -140,12 +154,11 @@ class TestReferenceEquivalence:
     )
     def test_matches_reference_sweep(self, graph):
         dist = all_pairs_shortest_paths(graph)
-        wn = weights(dist)
         for seed in range(3):
             layout = random_init(graph.n, seed) * (1.0 + 4.0 * seed)
             for _ in range(3):
                 expected = reference_sweep(layout, dist, np.random.default_rng(_JITTER_SEED))
-                layout = smacof_iteration(layout, dist, wn)
+                layout = smacof_iteration(layout, dist)
                 assert np.abs(layout - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("rows,cols", [(10, 10), (20, 20)])
@@ -160,7 +173,7 @@ class TestReferenceEquivalence:
         dist = all_pairs_shortest_paths(path_graph(n))
         start = np.full((n, 2), 0.25)
         ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
-        after = smacof_iteration(start, dist, weights(dist), ours)
+        after = smacof_iteration(start, dist, ours)
         expected = reference_sweep(start, dist, theirs)
         assert np.abs(after - expected).max() <= 1e-12
         # same number of draws: vertex 0 nudges each of the n - 1 others once
@@ -191,9 +204,8 @@ class TestRunSmacof:
         _, trace = run_smacof(dist, init)
         # oracle: 200 fixed sweeps, no early stopping
         x = np.array(init)
-        wn = weights(dist)
         for _ in range(200):
-            x = smacof_iteration(x, dist, wn)
+            x = smacof_iteration(x, dist)
         assert abs(trace[-1] / stress(x, dist) - 1.0) <= 0.02
 
     def test_deterministic(self):
@@ -211,18 +223,28 @@ class TestRunSmacof:
         assert len(trace) == 4
 
     @pytest.mark.parametrize("cap", [1, 4, MAX_SWEEPS])
-    def test_builds_weights_once_per_run(self, cap, monkeypatch):
-        # one build per call, however many sweeps; each sweep through the module binding
-        built, sweeps = [], []
-        monkeypatch.setattr(smacof, "weights", lambda dist: built.append(dist) or weights(dist))
+    def test_sweeps_through_module_binding(self, cap, monkeypatch):
+        # one smacof_iteration call per sweep, looked up on the module
+        sweeps = []
         monkeypatch.setattr(smacof, "smacof_iteration",
-                            lambda *args: sweeps.append(args[2]) or smacof_iteration(*args))
+                            lambda *args: sweeps.append(args) or smacof_iteration(*args))
         dist = all_pairs_shortest_paths(grid_graph(4, 4))
-        for _ in range(2):
-            _, trace = run_smacof(dist, random_init(16, 0), SmacofConfig(cap))
-        assert built == [dist, dist]
-        assert len(sweeps) == 2 * (len(trace) - 1)
-        assert len({id(wn) for wn in sweeps[: len(trace) - 1]}) == 1
+        _, trace = run_smacof(dist, random_init(16, 0), SmacofConfig(cap))
+        assert len(sweeps) == len(trace) - 1
+
+    def test_holds_no_n_squared_array(self):
+        # the sweep reads the matrix a block of rows at a time: once the pair
+        # table exists, a run peaks below 1 B per matrix entry
+        dist = all_pairs_shortest_paths(grid_graph(40, 50))
+        init = classical_mds(dist)
+        stress(init, dist)  # builds the pair table
+        tracemalloc.start()
+        try:
+            run_smacof(dist, init, SmacofConfig(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dist.n**2
 
     def test_callback(self):
         dist = all_pairs_shortest_paths(path_graph(5))
