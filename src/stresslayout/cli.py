@@ -9,20 +9,23 @@ Inputs are files (.mtx Matrix Market, anything else edge list, override
 with --format, which needs a file among the inputs) or synthetic
 specifiers like ``path:100``, ``cycle:100``, ``grid:10,10``,
 ``complete:12`` (graphs.synthetic_spec reads them).
-Every subcommand loads through load_graph, which checks a specifier
+Every check that needs no graph runs before any graph is loaded: the
+flag values, --format, and the output paths in one call per command
+(layout's default names and --snapshots paths included).  Every
+subcommand then loads through load_graph, which checks a specifier
 against memory before generating it and a file, by its size, before
 reading it, and a Matrix Market file again by the vertex count its
-size line declares; layout, bench and hybrid check a file's run again
-after parsing and reduction to its largest component, bench and hybrid
-check the graphs they hold together, and info checks the distance
-search its diameter needs.
+size line declares.  layout, bench and hybrid charge every run the same
+estimate, whatever its algorithm, and check a file's run again after
+parsing and reduction to its largest component; bench and hybrid check
+the graphs they hold together, and info checks the distance search its
+diameter needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -57,7 +60,7 @@ from .svg import render_svg
 # Default SGD iteration count before majorization for layout --alg hybrid.
 SGD_K = 7
 
-# peak_bytes terms besides the n x n arrays of a run's phases.  The
+# peak_bytes terms besides the n x n arrays of the search and of a run.  The
 # floor is the interpreter with numpy and this package (28 MiB) plus
 # what any run adds on top: graph objects, SVG text, optimizer and
 # stress() block scratch, and the BLAS buffers and LAPACK code the
@@ -219,13 +222,14 @@ def _add_experiment_flags(parser) -> None:
 def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfig:
     """The campaign the flags describe, validated before any graph is loaded.
 
-    The graphs load in order, each checked against memory as it loads
-    (_load_connected), so an oversized input stops the campaign before
-    the inputs after it load and before any cell runs.  Once all are
-    loaded, check_campaign charges the graphs the campaign holds
-    together, before any cell runs.
+    The report needs the smacof x cmds reference cell, checked after the
+    cells' names and before any graph loads.  The graphs load in order,
+    each checked against memory as it loads (_load_connected), so an
+    oversized input stops the campaign before the inputs after it load
+    and before any cell runs.  Once all are loaded, check_campaign
+    charges the graphs the campaign holds together, before any cell runs.
     """
-    _check_output_dirs(args.out, args.trace)
+    _check_output_dirs({"--out": args.out, "--trace": args.trace})
     config = ExperimentConfig(
         graphs=(),
         algorithms=algorithms,
@@ -236,43 +240,39 @@ def _experiment_config(args, specs, algorithms, initializers) -> ExperimentConfi
         sgd_eps=EPS if args.eps is None else args.eps,
     )
     _check_format(args.format, specs)
-    graphs = tuple(_load_connected(spec, args.format, args.strict, algorithms) for spec in specs)
-    check_campaign(graphs, algorithms)
+    if "smacof" not in algorithms or "cmds" not in initializers:
+        raise ValueError("the report needs the smacof x cmds reference cell in --algs/--inits")
+    graphs = tuple(_load_connected(spec, args.format, args.strict) for spec in specs)
+    check_campaign(graphs)
     return dataclasses.replace(config, graphs=graphs)
 
 
-def peak_bytes(n: int, m: int, algorithm: str | None = None) -> int:
+def peak_bytes(n: int, m: int, phase: str | None = None) -> int:
     """Estimated peak memory of loading a graph of n vertices and m edges
-    and, given an algorithm, of one run on it, in bytes.  The algorithm
-    "search" stands for the distance search alone, as info's diameter
-    runs it.
+    and, given a phase, of that phase on it, in bytes: "search" is the
+    distance search alone, as info's diameter runs it, and "run" is one
+    run of any algorithm.
 
     Loading costs the run floor plus EDGE_BYTES per edge; the loaded
-    Graph itself keeps 16 B per edge and 8 per vertex.  A run adds the
-    n x n bytes of the largest of its phases, with w the bytes of a hop
-    count below n (1 up to n = 256, else 2):
-    - the search: the int32 buffer of all_pairs_shortest_paths and the
-      narrow matrix it returns (4 + w per entry); its block scratch and
-      the checks' masks come at other times and are smaller;
-    - classical MDS, which any run may start from: the matrix and its
-      squared float64 copy (w + 8);
-    - the run: the matrix and its pair table (two int32 indices and one
-      hop count per unordered pair, (8 + w) / 2), plus the boolean mask
-      that builds the table (1); the majorization sweep reads the matrix
-      a block of rows at a time and adds no n x n term;
-    and HEAP_SLACK on top of the largest, which is classical MDS for
-    every algorithm.  A campaign frees each graph's arrays before the
-    next graph's search, so one graph's estimate bounds its runs;
-    check_campaign adds the graphs a campaign holds.
+    Graph itself keeps 16 B per edge and 8 per vertex.  A phase adds
+    n x n bytes plus HEAP_SLACK, with w the bytes of a hop count below n
+    (1 up to n = 256, else 2):
+    - the search holds the int32 buffer of all_pairs_shortest_paths and
+      the narrow matrix it returns (4 + w per entry); its block scratch
+      and the checks' masks come at other times and are smaller;
+    - a run is charged classical MDS, which any run may start from: the
+      matrix and its squared float64 copy (w + 8).  For any w <= 4 its
+      other two peaks cannot win, since its search (4 + w) and its pair
+      table beside the matrix and the boolean mask that builds the table
+      ((8 + w) / 2 + 1 + w) are both smaller; the majorization sweep
+      reads the matrix a block of rows at a time and adds no n x n term.
+    A campaign frees each graph's arrays before the next graph's search,
+    so one graph's estimate bounds its runs; check_campaign adds the
+    graphs a campaign holds.
     """
-    per_entry = 0.0
-    if algorithm is not None:
-        width = np.min_scalar_type(max(n - 1, 0)).itemsize
-        per_entry = 4 + width
-        if algorithm != "search":
-            per_entry = max(per_entry, width + 8, width + (8 + width) / 2 + 1)
-        per_entry += HEAP_SLACK
-    return RUN_FLOOR + EDGE_BYTES * m + math.ceil(per_entry * n * n)
+    width = np.min_scalar_type(max(n - 1, 0)).itemsize
+    per_entry = {None: 0, "search": 4 + width + HEAP_SLACK, "run": 8 + width + HEAP_SLACK}[phase]
+    return RUN_FLOOR + EDGE_BYTES * m + per_entry * n * n
 
 
 def memory_limit() -> int | None:
@@ -287,14 +287,14 @@ def memory_limit() -> int | None:
         return None
 
 
-def check_memory(name: str, n: int, m: int, algorithms=()) -> None:
-    """Fail fast if a graph of n vertices and m edges, with a run of each of
-    algorithms on it, cannot fit in memory; with no algorithms, the graph alone."""
-    estimate = max(peak_bytes(n, m, algorithm) for algorithm in algorithms or (None,))
-    _refuse_over_limit(f"{name}: a run on n = {n} vertices and m = {m} edges", estimate)
+def check_memory(name: str, n: int, m: int, phase: str | None = None) -> None:
+    """Fail fast if a graph of n vertices and m edges, with phase on it
+    (peak_bytes), cannot fit in memory; with no phase, the graph alone."""
+    _refuse_over_limit(f"{name}: a run on n = {n} vertices and m = {m} edges",
+                       peak_bytes(n, m, phase))
 
 
-def check_campaign(graphs, algorithms) -> None:
+def check_campaign(graphs) -> None:
     """Fail fast if a campaign's graphs, which it holds until it ends, cannot
     fit in memory beside the largest run on one of them.
 
@@ -302,7 +302,7 @@ def check_campaign(graphs, algorithms) -> None:
     run's estimate (peak_bytes) already counts its own graph.
     """
     held = [g.indptr.nbytes + g.indices.nbytes for _, g in graphs]
-    estimate, name = max((max(peak_bytes(g.n, g.m, a) for a in algorithms) + sum(held) - own, name)
+    estimate, name = max((peak_bytes(g.n, g.m, "run") + sum(held) - own, name)
                          for (name, g), own in zip(graphs, held))
     _refuse_over_limit(f"{len(graphs)} input graphs held together with a run on {name}", estimate)
 
@@ -317,19 +317,23 @@ def _refuse_over_limit(what: str, estimate: int) -> None:
         )
 
 
-def _check_output_dirs(out, trace) -> None:
+def _check_output_dirs(outputs: dict) -> None:
     """Refuse an output path whose parent is not a directory or that is
-    itself a directory (exit 3), and one path given as both --out and
-    --trace (exit 1), so that a run that cannot write all of its outputs
-    writes none of them.  Each command checks its flags before any graph
-    is loaded; layout checks its default names again once it knows them."""
-    for path in map(Path, filter(None, (out, trace))):
+    itself a directory (exit 3), and two outputs at one path (exit 1),
+    so that a run that cannot write all of its outputs writes none of
+    them.  outputs maps each output's flag to its path, or to None where
+    the command writes no such file.  Each command makes this one call
+    before any graph is loaded; layout's paths include its default names
+    and its --snapshots files."""
+    flags = {}  # the first flag at each resolved path
+    for flag, path in ((flag, Path(name)) for flag, name in outputs.items() if name):
         if not path.parent.is_dir():
             raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
         if path.is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
-    if out and trace and Path(out).resolve() == Path(trace).resolve():
-        raise ValueError(f"--out and --trace name the same file: {out}")
+        first = flags.setdefault(path.resolve(), flag)
+        if first != flag:
+            raise ValueError(f"{first} and {flag} name the same file: {outputs[first]}")
 
 
 def _check_format(fmt: str | None, specs) -> None:
@@ -338,11 +342,17 @@ def _check_format(fmt: str | None, specs) -> None:
         raise ValueError("--format applies only to file inputs")
 
 
-def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, Graph]:
-    """Load a graph from a file path or synthetic specifier.
+def _graph_name(spec: str) -> str:
+    """The name load_graph gives spec's graph: a synthetic spec's name, or the file's stem."""
+    synthetic = synthetic_spec(spec)
+    return Path(spec).stem if synthetic is None else synthetic[0]
+
+
+def load_graph(spec: str, fmt: str | None = None, phase: str | None = None) -> tuple[str, Graph]:
+    """Load a graph from a file path or synthetic specifier, named by _graph_name.
 
     A specifier is checked against memory at the n and edge bound it
-    implies, for a run of each of algorithms, before generate builds it.
+    implies, with phase on it (peak_bytes), before generate builds it.
     A file is checked before it is read, for loading alone: every edge
     takes a line of at least 4 bytes ("0 1" and a newline), so a file
     of size bytes holds at most (size + 1) // 4 edges.  A Matrix Market
@@ -350,26 +360,26 @@ def load_graph(spec: str, fmt: str | None = None, algorithms=()) -> tuple[str, G
     per declared vertex added, since a size line can declare vertices
     that no edge line names.
     """
-    synthetic = synthetic_spec(spec)
+    name, synthetic = _graph_name(spec), synthetic_spec(spec)
     if synthetic is not None:
-        name, family, sizes, n, m = synthetic
-        check_memory(name, n, m, algorithms)
+        _, family, sizes, n, m = synthetic
+        check_memory(name, n, m, phase)
         return name, generate(family, *sizes)
     path = Path(spec)
     size = path.stat().st_size
     m = (size + 1) // 4
-    what = f"{path.stem}: loading a file of {size} bytes (at most m = {m} edges)"
+    what = f"{name}: loading a file of {size} bytes (at most m = {m} edges)"
     _refuse_over_limit(what, peak_bytes(0, m))
     text = path.read_text()
     if fmt is None:
         fmt = "mtx" if path.suffix.lower() == ".mtx" else "edges"
     if fmt == "edges":
-        return path.stem, parse_edge_list(text)
-    return path.stem, parse_matrix_market(text, lambda n: _refuse_over_limit(
+        return name, parse_edge_list(text)
+    return name, parse_matrix_market(text, lambda n: _refuse_over_limit(
         f"{what} on n = {n} declared vertices", peak_bytes(0, m) + VERTEX_BYTES * n))
 
 
-def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tuple[str, Graph]:
+def _load_connected(spec: str, fmt: str | None, strict: bool) -> tuple[str, Graph]:
     """Load, reduce to the largest connected component, require n >= 2,
     and fail fast if a run on it cannot fit in memory.
 
@@ -377,7 +387,7 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
     and a file's loading before reading it; the check here, after
     reduction, is the one a file's run gets.
     """
-    name, graph = load_graph(spec, fmt, algorithms)
+    name, graph = load_graph(spec, fmt, "run")
     components = _components(spec, graph, strict)
     if len(components) > 1:
         reduced = largest_connected_component(graph, components)
@@ -387,7 +397,7 @@ def _load_connected(spec: str, fmt: str | None, strict: bool, algorithms) -> tup
             file=sys.stderr,
         )
         graph = reduced
-    check_memory(name, graph.n, graph.m, algorithms)
+    check_memory(name, graph.n, graph.m, "run")
     if graph.n < 2:
         raise ValueError(f"{spec}: need at least two connected vertices, got {graph.n}")
     return name, graph
@@ -432,24 +442,25 @@ def cmd_layout(args) -> int:
         raise ValueError(f"--init: --alg hybrid starts from a random layout, got {args.init}")
     if args.alg == "hybrid" and not 0 <= sgd_k <= iters:
         raise ValueError(f"--sgd-k must be in [0, {iters}] (--iters), got {sgd_k}")
-    snapshots = set(args.snapshots or ())
     # the last iteration a run can reach: hybrid majorization runs to its own sweep cap
     last = sgd_k + MAX_SWEEPS if args.alg == "hybrid" else iters
-    if snapshots and max(snapshots) > last:
+    if args.snapshots and max(args.snapshots) > last:
         raise ValueError(f"--snapshots: each number must be at most {last}, the last "
-                         f"iteration the run can reach, got {max(snapshots)}")
-    _check_output_dirs(args.out, args.trace)
+                         f"iteration the run can reach, got {max(args.snapshots)}")
+    name = _graph_name(args.input)
+    out_path = Path(args.out or f"{name}.svg")
+    trace_path = Path(args.trace or f"{name}.trace.csv")
+    snapshots = {t: out_path.parent / f"{out_path.stem}.iter{t}{out_path.suffix}"
+                 for t in sorted(set(args.snapshots or ()))}
+    _check_output_dirs({"--out": args.out or out_path, "--trace": args.trace or trace_path,
+                        **{f"--snapshots {t}": path for t, path in snapshots.items()}})
     _check_format(args.format, [args.input])
-    name, graph = _load_connected(args.input, args.format, args.strict, (args.alg,))
-    out_path = Path(args.out) if args.out else Path(f"{name}.svg")
-    trace_path = Path(args.trace) if args.trace else Path(f"{name}.trace.csv")
-    _check_output_dirs(out_path, trace_path)  # again with the default names, before the run
+    _, graph = _load_connected(args.input, args.format, args.strict)
     dist = all_pairs_shortest_paths(graph)
 
     def snapshot(t, coords):
         if t in snapshots:
-            target = out_path.with_name(f"{out_path.stem}.iter{t}{out_path.suffix}")
-            render_svg(coords, graph, target)
+            render_svg(coords, graph, snapshots[t])
 
     callback = snapshot if snapshots else None
     initializer = args.init
@@ -472,7 +483,7 @@ def cmd_layout(args) -> int:
     )
     render_svg(layout, graph, out_path)
     export_csv([trace], trace_path)
-    unreached = sorted(t for t in snapshots if t >= len(values))
+    unreached = [t for t in snapshots if t >= len(values)]
     if unreached:
         print(f"warning: --snapshots {','.join(map(str, unreached))} not rendered: "
               f"the run stopped after {len(values) - 1} iterations", file=sys.stderr)
@@ -487,8 +498,6 @@ def cmd_bench(args) -> int:
         if value is not None and "sgd" not in algorithms:
             raise ValueError(f"{flag} applies only with sgd in --algs")
     config = _experiment_config(args, args.inputs, algorithms, tuple(args.inits.split(",")))
-    if "smacof" not in config.algorithms or "cmds" not in config.initializers:
-        raise ValueError("the report needs the smacof x cmds reference cell in --algs/--inits")
     return _write_report(run_grid(config), args)
 
 

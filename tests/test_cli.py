@@ -391,6 +391,17 @@ def test_negative_seed_fails_before_loading(workdir, capsys, no_loading, argv, f
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["bench", "grid:200,200", "--algs", "sgd"],
+                                  ["bench", "g.edges", "--inits", "random"]])
+def test_missing_reference_cell_fails_before_loading(workdir, capsys, no_loading, argv):
+    # the flag error comes before a memory estimate of the input and before reading a file
+    (workdir / "g.edges").write_text("0 1\n1 2\n")
+    assert main([*argv, "--out", "r.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the report needs the smacof x cmds reference cell in --algs/--inits\n")
+    assert [p.name for p in workdir.iterdir()] == ["g.edges"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -434,11 +445,12 @@ def test_directory_outputs_refused_before_loading(workdir, capsys, no_loading, a
     (["layout", "grid:3,3", "--out", "grid_3x3.trace.csv"], [], 1),
     (["layout", "grid:3,3", "--trace", "grid_3x3.svg"], [], 1),
     (["layout", "grid:3,3"], ["grid_3x3.svg"], 3),
+    (["layout", "grid:3,3", "--snapshots", "1,2"], ["grid_3x3.iter2.svg"], 3),
 ])
-def test_default_output_names_checked_before_the_run(workdir, capsys, monkeypatch, argv, made,
+def test_default_output_names_checked_before_the_run(workdir, capsys, no_loading, argv, made,
                                                      code):
-    # a default name (<graph>.svg, <graph>.trace.csv) is known once the graph is loaded
-    monkeypatch.setattr(cli, "all_pairs_shortest_paths", lambda graph: pytest.fail("ran"))
+    # a default name (<graph>.svg, <graph>.trace.csv, <graph>.iter<t>.svg) is
+    # derived from the input's name, before the graph is loaded
     for name in made:
         (workdir / name).mkdir()
     assert main(argv) == code
@@ -452,13 +464,15 @@ def test_default_output_names_checked_before_the_run(workdir, capsys, monkeypatc
         ["layout", "grid:3,3", "--out", "same.csv", "--trace", "same.csv"],
         ["bench", "path:6", "--reps", "1", "--trace", "same.csv", "--out", "same.csv"],
         ["hybrid", "path:6", "--reps", "1", "--out", "same.csv", "--trace", "./same.csv"],
+        ["layout", "grid:3,3", "--iters", "3", "--out", "x.svg", "--trace", "x.iter1.svg",
+         "--snapshots", "1"],
     ],
 )
 def test_one_path_for_both_outputs_refused_before_loading(workdir, capsys, no_loading, argv):
-    # the report would overwrite the traces
+    # the report would overwrite the traces, and the traces a snapshot
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert "--out" in err and "--trace" in err
+    first, second = ("--trace", "--snapshots 1") if "--snapshots" in argv else ("--out", "--trace")
+    assert capsys.readouterr().err.startswith(f"error: {first} and {second} name the same file: ")
     assert list(workdir.iterdir()) == []
 
 
@@ -592,20 +606,17 @@ class TestSizeGuard:
             # the table's boolean mask (1) is built with it; a majorization
             # sweep holds no n x n array
             run = table + n * n
-            for alg, phases in (("search", [search]), ("sgd", [search, cmds, run]),
-                                ("smacof", [search, cmds, run])):
-                assert peak_bytes(n, m, alg) == pytest.approx(
-                    base + max(phases) + HEAP_SLACK * n * n, abs=1)
-            # every run peaks at classical MDS
-            assert peak_bytes(n, m, "sgd") == peak_bytes(n, m, "smacof") == peak_bytes(n, m, "hybrid")
-            assert peak_bytes(n, m, "smacof") == pytest.approx(base + cmds + HEAP_SLACK * n * n, abs=1)
-            assert peak_bytes(n, m + 1, "sgd") - peak_bytes(n, m, "sgd") == EDGE_BYTES
+            assert peak_bytes(n, m, "search") == base + search + HEAP_SLACK * n * n
+            # every run, whatever its algorithm, peaks at classical MDS
+            assert max(search, cmds, run) == cmds
+            assert peak_bytes(n, m, "run") == base + cmds + HEAP_SLACK * n * n
+            assert peak_bytes(n, m + 1, "run") - peak_bytes(n, m, "run") == EDGE_BYTES
             # loading alone (info) has no n**2 terms
             assert peak_bytes(n, m) == base
 
     def test_limit_is_physical_memory(self):
         limit = cli.memory_limit()
-        assert limit is None or limit > peak_bytes(2000, 3910, "smacof")
+        assert limit is None or limit > peak_bytes(2000, 3910, "run")
 
     @pytest.mark.parametrize(
         "argv, n, alg",
@@ -619,7 +630,8 @@ class TestSizeGuard:
         ],
     )
     def test_oversized_exits_1_before_distances(self, workdir, capsys, monkeypatch, argv, n, alg):
-        estimate = peak_bytes(n, self.EDGES["grid_20x30"], alg)
+        # alg names the algorithm the command runs: each one is charged the same run
+        estimate = peak_bytes(n, self.EDGES["grid_20x30"], "run")
 
         def fail(graph):
             raise AssertionError("no distance matrix may be built")
@@ -642,7 +654,7 @@ class TestSizeGuard:
     def test_synthetic_spec_checked_before_generate(self, workdir, capsys, monkeypatch,
                                                    argv, name, n, alg):
         m = self.EDGES[name]
-        estimate = peak_bytes(n, m, alg)
+        estimate = peak_bytes(n, m, "run")  # whatever alg the command runs
 
         def fail(*args):
             raise AssertionError("an oversized or later input was generated")
@@ -662,11 +674,12 @@ class TestSizeGuard:
     def test_edges_checked_before_generate(self, workdir, capsys, monkeypatch, argv, name, n, alg):
         # both fit 8 GiB by their vertices alone; building their edges does not
         m = self.EDGES[name]
+        phase = alg and "run"  # info (no alg) only loads the graph
         monkeypatch.setattr(cli, "memory_limit", lambda: 8 * 2**30)
         monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("generate was called"))
-        assert peak_bytes(n, 0, alg) < 8 * 2**30
+        assert peak_bytes(n, 0, phase) < 8 * 2**30
         assert main(argv) == 1
-        estimate = peak_bytes(n, m, alg)
+        estimate = peak_bytes(n, m, phase)
         assert (f"{name}: a run on n = {n} vertices and m = {m} edges needs about "
                 f"{estimate / 2**20:.0f} MiB, more than the 8192 MiB") in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
@@ -698,7 +711,7 @@ class TestSizeGuard:
         # a 30-vertex path plus a separate edge: the guard sees the 30 kept vertices
         edges = [(i, i + 1) for i in range(29)] + [(30, 31)]
         (workdir / "g.edges").write_text("".join(f"{i} {j}\n" for i, j in edges))
-        estimate = peak_bytes(30, 29, "sgd")
+        estimate = peak_bytes(30, 29, "run")
         monkeypatch.setattr(cli, "memory_limit", lambda: estimate - 1)
         assert main(["layout", "g.edges"]) == 1
         err = capsys.readouterr().err
@@ -769,9 +782,9 @@ class TestSizeGuard:
 
     def test_campaign_charges_every_graph_it_holds(self, workdir, capsys, monkeypatch):
         # each input fits alone; the small one, held beside a run on the large one, does not
-        run = peak_bytes(600, 1150, "smacof")
+        run = peak_bytes(600, 1150, "run")
         small = 16 * 180 + 8 * 101  # grid:10,10's CSR arrays
-        assert peak_bytes(100, 180, "smacof") < run
+        assert peak_bytes(100, 180, "run") < run
         cells = []
         monkeypatch.setattr(cli, "run_grid", lambda config: cells.append(config) or [])
         monkeypatch.setattr(cli, "memory_limit", lambda: run + small - 1)
@@ -787,7 +800,7 @@ class TestSizeGuard:
         assert len(cells) == 1
 
     def test_fits_at_the_limit(self, workdir, monkeypatch):
-        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, 12, "sgd"))
+        monkeypatch.setattr(cli, "memory_limit", lambda: peak_bytes(9, 12, "run"))
         assert main(["layout", "grid:3,3", "--alg", "sgd", "--out", "g.svg",
                      "--trace", "g.csv"]) == 0
         monkeypatch.setattr(cli, "memory_limit", lambda: None)
