@@ -92,7 +92,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
+            raise ValueError(f"--reps: repetitions must be positive, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"--base-seed: seeds must be nonnegative, got {self.base_seed}")
         SgdConfig(self.sgd_iterations, self.sgd_eps)  # raises on an out-of-range value

@@ -173,18 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _int_list(low: int):
-    """argparse type: one or more comma-separated integers, each at least low.
+    """argparse type: one or more comma-separated integers, each at least low;
+    an empty item ("", "1,,3" or "1,") is refused.
 
     argparse prefixes the error with the flag's name and exits 2.
     """
     def parse(text: str) -> list[int]:
         try:
-            values = [int(tok) for tok in text.split(",") if tok]
+            values = [int(tok) for tok in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated integers, got {text!r}") from None
-        if not values:
-            raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
         for value in values:
             if value < low:
                 raise argparse.ArgumentTypeError(f"each value must be at least {low}, got {value}")
@@ -429,10 +428,6 @@ def cmd_layout(args) -> int:
     iters = args.iters
     if iters is None:
         iters = MAX_SWEEPS if args.alg == "smacof" else ITERATIONS
-    if iters < 1:
-        raise ValueError(f"--iters must be at least 1, got {iters}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     sgd_config = SgdConfig(iters, EPS if args.eps is None else args.eps, args.seed)
     pivots = PIVOTS if args.pivots is None else args.pivots
     if pivots < 1:
@@ -502,6 +497,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
+    SgdConfig(args.iters, args.eps)  # --iters and --eps first: each k is checked against --iters
     for k in args.ks:
         if k > args.iters:
             raise ValueError(f"--ks: each k must be in [0, {args.iters}] (--iters), got {k}")

@@ -43,6 +43,7 @@ class SgdConfig:
 
     The schedule has two free values, its length and its final relative
     step eps; run_sgd derives the step widths from them and the graph.
+    A refusal names each value by its command-line flag.
     """
 
     iterations: int = ITERATIONS
@@ -51,11 +52,11 @@ class SgdConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError(f"iterations must be positive, got {self.iterations}")
+            raise ValueError(f"--iters: iterations must be positive, got {self.iterations}")
         if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+            raise ValueError(f"--eps: eps must be in (0, 1), got {self.eps}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ValueError(f"--seed: seed must be nonnegative, got {self.seed}")
 
 
 def step_widths(dist: DistanceMatrix, config: SgdConfig) -> list[float]:

@@ -9,7 +9,9 @@ inverse squared target:
     sum_{i<j} (|x_i - x_j| - d_ij)**2 / d_ij**2
 
 stress and both optimizers' sweeps all measure a layout distance as
-np.abs of a complex difference of points.
+np.abs of a complex difference of points.  stress sums its terms
+exactly, by error-free extraction into float partials and one
+math.fsum, so fixed seeds give the same value bit for bit.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ JITTER_EPSILON = 1e-6
 # (about 0.8 MiB) does not grow with n, and at 2**14 pairs the numpy calls
 # per block cost little next to their work.
 STRESS_BLOCK = 1 << 14
-
-# ExactSum's bins, one per float64 exponent field, and its array limit:
-# 2**26 values of at most 26 bits each keep every float64 bin sum exact.
-EXPONENT_BINS = 1 << 11
-LOW_26 = (1 << 26) - 1
-MAX_ARRAY_TERMS = 1 << 26
 
 
 def as_layout(coords, n: int | None = None) -> np.ndarray:
@@ -71,18 +67,20 @@ def stress(coords, dist: DistanceMatrix) -> float:
     optimizers: within about 2 ulp of the true distance, where np.hypot
     is within 0.6 ulp but makes a call about twice as slow.
     The pair terms are computed STRESS_BLOCK pairs at a time, so scratch
-    memory stays fixed as n grows, and their sum over all blocks is
-    exactly rounded (ExactSum): the value is math.fsum of the terms, bit
-    for bit, whatever the block size.  The lengths' last bits depend on
-    the CPU features numpy dispatches to.
+    memory stays fixed as n grows.  Each block becomes a few floats with
+    the same exact sum (_exact_partials), and one math.fsum over all of
+    them rounds that sum once: the value is math.fsum of the terms, bit
+    for bit, whatever the block size, with fsum's inf, NaN and
+    OverflowError.  The lengths' last bits depend on the CPU features
+    numpy dispatches to.
     """
     z = points(as_layout(coords, dist.n))
     i, j, target = dist.pairs
-    total = ExactSum()
+    partials = []
     for start in range(0, len(target), STRESS_BLOCK):
         block = slice(start, start + STRESS_BLOCK)
-        total.add(_pair_terms(z, i[block], j[block], target[block]))
-    return total.value()
+        partials += _exact_partials(_pair_terms(z, i[block], j[block], target[block]))
+    return math.fsum(partials)
 
 
 def _pair_terms(z, i, j, target) -> np.ndarray:
@@ -90,7 +88,7 @@ def _pair_terms(z, i, j, target) -> np.ndarray:
 
     Casts the block's int32 indices to intp and its targets to float64
     once.  A function of its own so that its scratch arrays are freed
-    before ExactSum.add allocates its own.
+    before _exact_partials allocates its own.
     """
     delta = z[i.astype(np.intp)]
     delta -= z[j.astype(np.intp)]
@@ -99,45 +97,34 @@ def _pair_terms(z, i, j, target) -> np.ndarray:
     return ((lengths - target) / target) ** 2
 
 
-class ExactSum:
-    """Exactly rounded sum of nonnegative float64 values: math.fsum of all
-    values added, bit for bit, in any order.
+def _exact_partials(terms: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the nonnegative float64
+    terms p, which it overwrites.
 
-    A value with exponent field e > 0 and mantissa bits m is
-    (2**52 + m) * 2**(e - 1075); with e = 0 (zero or subnormal) it is
-    m * 2**-1074.  Each bin, one per e, holds its value count (the
-    implicit bits) and the sums of the upper and lower 26 bits of m.
-    np.bincount's float64 sums of 26-bit integers are exact for arrays of
-    up to MAX_ARRAY_TERMS values; the bins carry across arrays in int64.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate Floating-Point
+    Summation Part I", SIAM J. Sci. Comput. 2008): with s the bit length
+    of len + 1, sigma = 2**(frexp(max |p|)[1] + s) is at least
+    (len + 2) max |p|.  Then q = (p + sigma) - sigma and p - q are
+    exact, and every q is a multiple of ulp(sigma) / 2 whose partial
+    sums, in any order, stay below sigma, so q.sum() is exact; the
+    residuals p - q, of either sign, take the next pass.  The loop ends:
+    each pass leaves max |p| at most 2**(s - 52) times what it was
+    (2**-37 for a block of 2**14), and every residual lies on the grid
+    of 2**-1074, below which it is 0.  Where the largest term is inf,
+    NaN or at least 2**(1023 - s), so that sigma would overflow, the
+    terms come back as they are, for fsum to give its own inf, NaN or
+    OverflowError.
     """
-
-    def __init__(self):
-        self.counts, self.highs, self.lows = (np.zeros(EXPONENT_BINS, np.int64) for _ in range(3))
-
-    def add(self, values: np.ndarray) -> None:
-        """Add a contiguous float64 array of nonnegative values."""
-        if len(values) > MAX_ARRAY_TERMS:
-            raise ValueError(f"ExactSum.add takes at most {MAX_ARRAY_TERMS} values at a time")
-        bits = values.view(np.int64)
-        exponents = bits >> 52
-        self.counts += np.bincount(exponents, minlength=EXPONENT_BINS)
-        self.highs += np.bincount(exponents, (bits >> 26) & LOW_26, EXPONENT_BINS).astype(np.int64)
-        self.lows += np.bincount(exponents, bits & LOW_26, EXPONENT_BINS).astype(np.int64)
-
-    def value(self) -> float:
-        """The sum so far, from one Python int whose division by 2**1075 is
-        correctly rounded.  As with fsum, a finite part that rounds beyond
-        the float range raises OverflowError; otherwise an inf value gives
-        inf.  (fsum also raises on some sums that round down to the float
-        maximum, when its partials overflow; here those give the maximum.)
-        """
-        used = np.flatnonzero(self.counts[:-1])
-        total = 0
-        for e, count, high, low in zip(used.tolist(), self.counts[used].tolist(),
-                                       self.highs[used].tolist(), self.lows[used].tolist()):
-            implicit = count << 52 if e else 0
-            total += (implicit + (high << 26) + low) << max(e, 1)
-        finite = total / (1 << 1075)
-        if self.counts[-1]:  # exponent field all ones: inf, or NaN if a mantissa bit is set
-            return math.nan if self.highs[-1] or self.lows[-1] else math.inf
-        return finite
+    s = (len(terms) + 1).bit_length()
+    top = terms.max(initial=0.0)
+    if not top < 2.0 ** (1023 - s):
+        return terms.tolist()
+    partials = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + s)
+        q = terms + sigma
+        q -= sigma
+        partials.append(float(q.sum()))
+        terms -= q
+        top = np.abs(terms, out=q).max()
+    return partials

@@ -97,7 +97,7 @@ class TestLayoutCommand:
         assert (workdir / "g.iter3.svg").exists()
         assert not (workdir / "g.iter2.svg").exists()
 
-    @pytest.mark.parametrize("value", ["1,x", "0,-2,99", "0", "-1", "", ","])
+    @pytest.mark.parametrize("value", ["1,x", "0,-2,99", "0", "-1", "", ",", "1,", "1,,3"])
     def test_bad_snapshots_are_usage_errors(self, workdir, capsys, no_loading, value):
         with pytest.raises(SystemExit) as info:
             main(["layout", "grid:3,3", f"--snapshots={value}"])
@@ -350,7 +350,7 @@ class TestHybridCommand:
         assert "--ks" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
-    @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two", "", ","])
+    @pytest.mark.parametrize("ks", ["-1", "0,-3", "1,x", "two", "", ",", "1,,3", "1,"])
     def test_bad_ks_are_usage_errors(self, workdir, capsys, no_loading, ks):
         with pytest.raises(SystemExit) as info:
             main(["hybrid", "path:30", f"--ks={ks}", "--reps", "1", "--out", "h.csv"])
@@ -372,6 +372,26 @@ class TestHybridCommand:
 def test_experiment_values_checked_before_loading(workdir, capsys, no_loading, argv):
     assert main([*argv, "--out", "r.csv", "--trace", "t.csv"]) == 1
     assert "error" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["bench", "path:6", "--reps", "0"], "--reps"),
+        (["hybrid", "path:6", "--reps", "0"], "--reps"),
+        (["layout", "path:6", "--eps", "0"], "--eps"),
+        (["layout", "path:6", "--alg", "hybrid", "--eps", "1.0"], "--eps"),
+        (["bench", "path:6", "--eps", "1.0"], "--eps"),
+        (["hybrid", "path:6", "--eps", "0"], "--eps"),
+        (["layout", "path:6", "--alg", "smacof", "--iters", "0"], "--iters"),
+        (["bench", "path:6", "--iters", "0"], "--iters"),
+        (["hybrid", "path:10", "--iters", "0"], "--iters"),  # not the default --ks
+    ],
+)
+def test_refusal_names_its_flag(workdir, capsys, no_loading, argv, flag):
+    assert main([*argv, "--out", "r.csv", "--trace", "t.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert list(workdir.iterdir()) == []
 
 

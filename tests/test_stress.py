@@ -15,7 +15,7 @@ from stresslayout import (
     path_graph,
     stress,
 )
-from stresslayout.stress import JITTER_EPSILON, STRESS_BLOCK, ExactSum, points, separate
+from stresslayout.stress import JITTER_EPSILON, STRESS_BLOCK, _exact_partials, points, separate
 from helpers import (
     dense_stress_gradient,
     finite_difference_gradient,
@@ -80,15 +80,15 @@ class TestStressValue:
 
 
 def exact_sum(*arrays):
-    total = ExactSum()
-    for values in arrays:
-        total.add(np.asarray(values, dtype=float))
-    return total.value()
+    """math.fsum over the exact partials of each array, as stress() sums its blocks."""
+    return math.fsum([p for values in arrays for p in _exact_partials(np.array(values, dtype=float))])
 
 
 # Exponent fields up to 2029 give values below 2**1007, so even 2**16 of
-# them sum below 2**1023 and math.fsum, the oracle, cannot overflow
-# (TestExactSum.test_top_of_range covers the rest of the range).
+# them sum below 2**1023 and math.fsum, the oracle, cannot overflow, and
+# every array is extracted (its maximum is below 2**(1023 - s), s <= 15).
+# TestExactSum.test_top_of_range and test_extraction_bound cover the rest
+# of the range.
 MAX_EXPONENT_FIELD = 2029
 LENGTHS = (0, 1, 2, 3, 50, STRESS_BLOCK - 1, STRESS_BLOCK, STRESS_BLOCK + 1)
 
@@ -127,6 +127,8 @@ def round_half_even_ties(draw):
 
 
 class TestExactSum:
+    """stress()'s exact sum: math.fsum over each block's _exact_partials."""
+
     @given(st.one_of(nonnegative_arrays(), round_half_even_ties()), st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_fsum(self, values, data):
@@ -165,11 +167,43 @@ class TestExactSum:
 
     def test_rounds_where_fsum_overflows_midway(self):
         # exactly float max + 2**970 - 2**916, just under the tie with 2**1024; fsum
-        # rounds its partial 2**970 - 2**916 up to 2**970 and raises on that tie
+        # rounds its partial 2**970 - 2**916 up to 2**970 and raises on that tie,
+        # and so does the exact sum, whose block is too large to extract
         values = [2.0**969, 2.0**969 - 2.0**916, sys.float_info.max]
-        with pytest.raises(OverflowError):
-            math.fsum(values)
-        assert exact_sum(values) == float(sum(map(Fraction, values))) == sys.float_info.max
+        assert float(sum(map(Fraction, values))) == sys.float_info.max
+        for evaluate in (math.fsum, exact_sum):
+            with pytest.raises(OverflowError):
+                evaluate(values)
+
+    def test_nan_term(self):
+        assert math.isnan(exact_sum([1.0, math.nan, 2.0]))
+        assert math.isnan(exact_sum([1.0, 2.0], [math.inf, math.nan]))
+
+    @pytest.mark.parametrize("length", [1, 50, STRESS_BLOCK])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_extraction_bound(self, length, side):
+        # a term just below 2**(1023 - s) is extracted; at or above it, the
+        # block comes back as it is; either way its sum is exact
+        s = (length + 1).bit_length()
+        bound = 2.0 ** (1023 - s)
+        term = np.nextafter(bound, side * math.inf) if side else bound
+        values = np.zeros(length)
+        values[length // 2] = term
+        partials = _exact_partials(values.copy())
+        assert (len(partials) == length) == (side >= 0)
+        assert exact_sum(values) == math.fsum(values) == term
+
+    def test_subnormals_to_2_1000_end(self):
+        # one pass shrinks the largest residual by at least 2**(52 - s), and
+        # the subnormal grid stops the loop
+        rng = np.random.default_rng(5)
+        exponents = rng.integers(0, 2023, STRESS_BLOCK, dtype=np.int64, endpoint=True)
+        exponents[:2] = 0, 2023  # a subnormal and a value in [2**1000, 2**1001)
+        bits = exponents << 52 | rng.integers(1, 1 << 52, STRESS_BLOCK, dtype=np.int64)
+        values = bits.view(np.float64)
+        s = (STRESS_BLOCK + 1).bit_length()
+        assert len(_exact_partials(values.copy())) <= (1001 + 1074) // (52 - s) + 1
+        assert exact_sum(values) == math.fsum(values)
 
 
 SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
